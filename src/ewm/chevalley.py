@@ -9,13 +9,12 @@ Lie-algebra half of the simple-spherical-root sufficient test.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GeneratorsOutsideAmbient
-from .rootsys import RootSystem, RootVec
+from .errors import EwmError, GeneratorsOutsideAmbient
+from .rootsys import RootSystem
 
 __all__ = [
     "ChevalleyAlgebra",
@@ -60,14 +59,16 @@ class AlgVec:
         return AlgVec.make({k: Fraction(c) * v for k, v in self.items})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChevalleyAlgebra:
-    rs: RootSystem
-    constants: tuple[tuple[tuple[Root, Root], int], ...]  # N on positive pairs
-    basis: tuple[Key, ...]
+    """Structure constants of `rs` in a Chevalley basis.  Compares and hashes
+    by identity, so no lookup ever hashes the table."""
 
-    def const_table(self) -> dict:
-        return dict(self.constants)
+    rs: RootSystem
+    table: dict[tuple[Root, Root], int]  # N on positive pairs
+    norm2: dict[Root, Fraction]  # squared length of each positive root
+    basis: tuple[Key, ...]
+    index: dict[Key, int]  # basis label -> coordinate
 
 
 def _norm2(rs: RootSystem, r: Root) -> Fraction:
@@ -82,11 +83,19 @@ def _norm2(rs: RootSystem, r: Root) -> Fraction:
     return total
 
 
-def _string_down(root_set: set, beta: Root, alpha: Root) -> int:
+def _neg(r: Root) -> Root:
+    return tuple(-c for c in r)
+
+
+def _is_root(norm2: dict, r: Root) -> bool:
+    return r in norm2 or _neg(r) in norm2
+
+
+def _string_down(norm2: dict, beta: Root, alpha: Root) -> int:
     """Largest p with beta - p*alpha still a root."""
     p = 0
     cur = tuple(b - a for b, a in zip(beta, alpha))
-    while cur in root_set or tuple(-c for c in cur) in root_set:
+    while _is_root(norm2, cur):
         if all(c == 0 for c in cur):
             break
         p += 1
@@ -94,57 +103,49 @@ def _string_down(root_set: set, beta: Root, alpha: Root) -> int:
     return p
 
 
+def N(table: dict, norm2: dict, a: Root, b: Root) -> Fraction:
+    """Structure constant N_{a,b} for roots of any sign, reduced to the
+    positive-pair table; `norm2` holds the squared length of each positive
+    root and doubles as the positive-root set."""
+    s = tuple(x + y for x, y in zip(a, b))
+    if not _is_root(norm2, s):
+        return Fraction(0)
+    a_pos = a in norm2
+    b_pos = b in norm2
+    if a_pos and b_pos:
+        return Fraction(table[(a, b)] if (a, b) in table else -table[(b, a)])
+    if not a_pos and not b_pos:
+        return -N(table, norm2, _neg(a), _neg(b))
+    if not a_pos:  # a = -u, b = v, both u, v positive
+        u = _neg(a)
+        if s in norm2:  # v - u is a positive root
+            return N(table, norm2, u, s) * norm2[s] / norm2[b]
+        # u - v is a positive root: N(-u, v) = N(-v, u)
+        w = _neg(s)
+        return N(table, norm2, b, w) * norm2[w] / norm2[u]
+    return -N(table, norm2, b, a)
+
+
 def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
     """Fill the positive-pair structure-constant table by height recursion."""
     pos = [r.coeffs for r in rs.pos_roots]  # already (height, lex) sorted
-    pos_set = set(pos)
-    order = {r: i for i, r in enumerate(pos)}
-    table: dict[tuple[Root, Root], Fraction] = {}
-
-    def is_root(r: Root) -> bool:
-        return r in pos_set or tuple(-c for c in r) in pos_set
-
-    def N(a: Root, b: Root) -> Fraction:
-        """Structure constant for arbitrary-sign roots, reduced to the table."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if not is_root(s):
-            return Fraction(0)
-        a_pos = a in pos_set
-        b_pos = b in pos_set
-        if a_pos and b_pos:
-            if (a, b) in table:
-                return table[(a, b)]
-            return -table[(b, a)]
-        if not a_pos and not b_pos:
-            return -N(tuple(-x for x in a), tuple(-x for x in b))
-        if not a_pos:  # a = -u, b = v, both u, v positive
-            u = tuple(-x for x in a)
-            v = b
-            if s in pos_set:  # v - u is a positive root
-                w = s
-                return N(u, w) * _norm2(rs, w) / _norm2(rs, v)
-            # u - v is a positive root: N(-u, v) = N(-v, u)
-            w = tuple(-x for x in s)
-            return N(v, w) * _norm2(rs, w) / _norm2(rs, u)
-        return -N(b, a)
+    norm2 = {r: _norm2(rs, r) for r in pos}
+    table: dict[tuple[Root, Root], int] = {}
 
     for delta in pos:
         if sum(delta) == 1:
             continue
-        # extraspecial pair: minimal alpha (in root order) with delta-alpha positive
-        alpha = next(
-            a for a in pos if tuple(d - x for d, x in zip(delta, a)) in pos_set
-        )
-        beta = tuple(d - x for d, x in zip(delta, alpha))
-        p = _string_down(pos_set, beta, alpha)
-        table[(alpha, beta)] = Fraction(p + 1)
-        # remaining pairs summing to delta, via the Jacobi identity with -alpha
-        n_delta_malpha = -N(alpha, beta) * _norm2(rs, beta) / _norm2(rs, delta)
         pairs = [
             (x, tuple(d - v for d, v in zip(delta, x)))
             for x in pos
-            if tuple(d - v for d, v in zip(delta, x)) in pos_set
+            if tuple(d - v for d, v in zip(delta, x)) in norm2
         ]
+        # extraspecial pair: minimal alpha (in root order) with delta-alpha positive
+        alpha, beta = pairs[0]
+        table[(alpha, beta)] = _string_down(norm2, beta, alpha) + 1
+        # remaining pairs summing to delta, via the Jacobi identity with -alpha
+        n_delta_malpha = -table[(alpha, beta)] * norm2[beta] / norm2[delta]
+        m_alpha = _neg(alpha)
         for xi, eta in pairs:
             if xi == alpha or eta == alpha:
                 continue
@@ -152,20 +153,23 @@ def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
                 continue
             acc = Fraction(0)
             xi_m = tuple(x - a for x, a in zip(xi, alpha))
-            if is_root(xi_m):
-                acc += N(tuple(-a for a in alpha), xi) * N(xi_m, eta)
+            if _is_root(norm2, xi_m):
+                acc += N(table, norm2, m_alpha, xi) * N(table, norm2, xi_m, eta)
             eta_m = tuple(x - a for x, a in zip(eta, alpha))
-            if is_root(eta_m):
-                acc += N(eta, tuple(-a for a in alpha)) * N(eta_m, xi)
+            if _is_root(norm2, eta_m):
+                acc += N(table, norm2, eta, m_alpha) * N(table, norm2, eta_m, xi)
             val = -acc / n_delta_malpha
-            assert val.denominator == 1
-            table[(xi, eta)] = val
+            if val.denominator != 1:
+                raise EwmError(f"structure constant N{xi},{eta} = {val} is not an integer")
+            table[(xi, eta)] = int(val)
 
-    const = tuple(sorted(((k, int(v)) for k, v in table.items())))
     basis: list[Key] = [("e", r) for r in pos]
-    basis += [("e", tuple(-c for c in r)) for r in pos]
+    basis += [("e", _neg(r)) for r in pos]
     basis += [("h", i) for i in range(rs.rank)]
-    return ChevalleyAlgebra(rs=rs, constants=const, basis=tuple(basis))
+    return ChevalleyAlgebra(
+        rs=rs, table=table, norm2=norm2, basis=tuple(basis),
+        index={k: i for i, k in enumerate(basis)},
+    )
 
 
 def root_vector(alg: ChevalleyAlgebra, r: Sequence[int]) -> AlgVec:
@@ -176,68 +180,28 @@ def cartan_vector(alg: ChevalleyAlgebra, i: int) -> AlgVec:
     return AlgVec.make({("h", i): Fraction(1)})
 
 
-def _coroot_coeffs(alg: ChevalleyAlgebra, beta: Root) -> list[Fraction]:
-    """h_beta = sum_j k_j d_j / d_beta * h_j for a positive root beta."""
+def _bracket_basis(alg: ChevalleyAlgebra, a: Key, b: Key) -> dict:
+    """[a, b] for two basis labels, as plain {label: coefficient} terms."""
     rs = alg.rs
-    d_beta = _norm2(rs, beta) / 2
-    return [beta[j] * rs.sym[j] / d_beta for j in range(rs.rank)]
-
-
-@functools.lru_cache(maxsize=None)
-def _pos_set(alg: ChevalleyAlgebra) -> frozenset:
-    return frozenset(r.coeffs for r in alg.rs.pos_roots)
-
-
-@functools.lru_cache(maxsize=None)
-def _table_cached(alg: ChevalleyAlgebra) -> dict:
-    return dict(alg.constants)
-
-
-def _bracket_basis(alg: ChevalleyAlgebra, a: Key, b: Key) -> AlgVec:
-    rs = alg.rs
-    pos_set = _pos_set(alg)
-    table = _table_cached(alg)
-
-    def is_root(r: Root) -> bool:
-        return r in pos_set or tuple(-c for c in r) in pos_set
-
-    def N(x: Root, y: Root) -> Fraction:
-        s = tuple(p + q for p, q in zip(x, y))
-        if not is_root(s):
-            return Fraction(0)
-        xp, yp = x in pos_set, y in pos_set
-        if xp and yp:
-            return Fraction(table[(x, y)]) if (x, y) in table else -Fraction(table[(y, x)])
-        if not xp and not yp:
-            return -N(tuple(-c for c in x), tuple(-c for c in y))
-        if not xp:
-            u = tuple(-c for c in x)
-            v = y
-            if s in pos_set:
-                return N(u, s) * _norm2(rs, s) / _norm2(rs, v)
-            w = tuple(-c for c in s)
-            return N(v, w) * _norm2(rs, w) / _norm2(rs, u)
-        return -N(y, x)
-
     ka, kb = a[0], b[0]
     if ka == "h" and kb == "h":
-        return AlgVec.make({})
+        return {}
     if ka == "h" and kb == "e":
         beta = b[1]
-        pair = sum(rs.cartan[a[1]][j] * beta[j] for j in range(rs.rank))
-        return AlgVec.make({b: Fraction(pair)})
+        return {b: sum(rs.cartan[a[1]][j] * beta[j] for j in range(rs.rank))}
     if ka == "e" and kb == "h":
-        return _bracket_basis(alg, b, a).scale(-1)
+        return {k: -v for k, v in _bracket_basis(alg, b, a).items()}
     beta, gamma = a[1], b[1]
     s = tuple(p + q for p, q in zip(beta, gamma))
     if all(c == 0 for c in s):
-        bpos = beta if beta in pos_set else gamma
-        sign = 1 if beta in pos_set else -1
-        cc = _coroot_coeffs(alg, bpos)
-        return AlgVec.make({("h", j): sign * cc[j] for j in range(rs.rank)})
-    if is_root(s):
-        return AlgVec.make({("e", s): N(beta, gamma)})
-    return AlgVec.make({})
+        # [e_beta, e_-beta] = h_beta = sum_j beta_j d_j / d_beta * h_j, beta > 0
+        sign = 1 if beta in alg.norm2 else -1
+        bpos = beta if sign == 1 else gamma
+        d_beta = alg.norm2[bpos] / 2
+        return {("h", j): sign * bpos[j] * rs.sym[j] / d_beta for j in range(rs.rank)}
+    if _is_root(alg.norm2, s):
+        return {("e", s): N(alg.table, alg.norm2, beta, gamma)}
+    return {}
 
 
 def bracket(alg: ChevalleyAlgebra, x: AlgVec, y: AlgVec) -> AlgVec:
@@ -245,17 +209,15 @@ def bracket(alg: ChevalleyAlgebra, x: AlgVec, y: AlgVec) -> AlgVec:
     acc: dict = {}
     for ka, ca in x.items:
         for kb, cb in y.items:
-            term = _bracket_basis(alg, ka, kb)
-            for k, v in term.items:
+            for k, v in _bracket_basis(alg, ka, kb).items():
                 acc[k] = acc.get(k, Fraction(0)) + ca * cb * v
     return AlgVec.make(acc)
 
 
 def _to_coords(alg: ChevalleyAlgebra, v: AlgVec) -> list[Fraction]:
-    idx = {k: i for i, k in enumerate(alg.basis)}
     out = [Fraction(0)] * len(alg.basis)
     for k, c in v.items:
-        out[idx[k]] = c
+        out[alg.index[k]] = c
     return out
 
 

@@ -66,9 +66,23 @@ _MATH_ERRORS = (
 # ---------------------------------------------------------------------------
 
 def _need(doc: dict, key: str, pointer: str) -> Any:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected an object with field {key!r}", pointer)
     if key not in doc:
         raise SchemaError(f"missing required field {key!r}", f"{pointer}/{key}")
     return doc[key]
+
+
+def _list_field(doc: dict, key: str) -> list:
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise SchemaError(f"{key} must be a list", f"/{key}")
+    return raw
+
+
+def _is_int(x: Any) -> bool:
+    """A JSON integer; `true`/`false` are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_group(doc: dict, pointer: str) -> CartanType:
@@ -79,7 +93,7 @@ def _parse_group(doc: dict, pointer: str) -> CartanType:
     for k, f in enumerate(raw):
         fam = _need(f, "family", f"{pointer}/group/{k}")
         n = _need(f, "rank", f"{pointer}/group/{k}")
-        if not isinstance(fam, str) or not isinstance(n, int):
+        if not isinstance(fam, str) or not _is_int(n):
             raise SchemaError("factor needs string family and integer rank",
                               f"{pointer}/group/{k}")
         factors.append((fam, n))
@@ -95,11 +109,18 @@ def _parse_char_space(raw: Any, pointer: str) -> CharSpace:
     free = raw.get("free_rank", 0)
     moduli = raw.get("moduli", [])
     names = raw.get("names")
-    if not isinstance(free, int) or free < 0:
+    if not _is_int(free) or free < 0:
         raise SchemaError("free_rank must be a non-negative integer",
                           f"{pointer}/free_rank")
-    if not all(isinstance(m, int) and m >= 2 for m in moduli):
-        raise SchemaError("moduli must be integers >= 2", f"{pointer}/moduli")
+    if not isinstance(moduli, list) or not all(_is_int(m) and m >= 2 for m in moduli):
+        raise SchemaError("moduli must be a list of integers >= 2", f"{pointer}/moduli")
+    if names is not None and (
+        not isinstance(names, list)
+        or len(names) != free + len(moduli)
+        or not all(isinstance(x, str) for x in names)
+    ):
+        raise SchemaError("names must be a list of one string per coordinate",
+                          f"{pointer}/names")
     return CharSpace(
         free_rank=free,
         moduli=tuple(moduli),
@@ -110,7 +131,7 @@ def _parse_char_space(raw: Any, pointer: str) -> CharSpace:
 def _parse_weight(raw: Any, rank: int, pointer: str) -> WeightVec:
     """A weight as a dense coefficient array or a sparse {1-based index: coeff}."""
     if isinstance(raw, list):
-        if len(raw) != rank or not all(isinstance(x, int) for x in raw):
+        if len(raw) != rank or not all(_is_int(x) for x in raw):
             raise SchemaError(f"weight must have {rank} integer entries", pointer)
         return WeightVec(tuple(raw))
     if isinstance(raw, dict):
@@ -120,7 +141,7 @@ def _parse_weight(raw: Any, rank: int, pointer: str) -> WeightVec:
                 i = int(k)
             except ValueError:
                 raise SchemaError(f"bad index {k!r}", pointer)
-            if not (1 <= i <= rank) or not isinstance(v, int):
+            if not (1 <= i <= rank) or not _is_int(v):
                 raise SchemaError(f"index {k} out of range 1..{rank}", pointer)
             coeffs[i - 1] = v
         return WeightVec(tuple(coeffs))
@@ -130,14 +151,14 @@ def _parse_weight(raw: Any, rank: int, pointer: str) -> WeightVec:
 def _parse_char(raw: Any, space: CharSpace, pointer: str) -> CharVec:
     if not isinstance(raw, list) or len(raw) != space.dim:
         raise SchemaError(f"character must have {space.dim} integer entries", pointer)
-    if not all(isinstance(x, int) for x in raw):
+    if not all(_is_int(x) for x in raw):
         raise SchemaError("character entries must be integers", pointer)
     return CharVec(space, tuple(raw))
 
 
 def _parse_indices(raw: Any, rank: int, pointer: str) -> frozenset[int]:
     if not isinstance(raw, list) or not all(
-        isinstance(i, int) and 1 <= i <= rank for i in raw
+        _is_int(i) and 1 <= i <= rank for i in raw
     ):
         raise SchemaError(f"expected a list of indices in 1..{rank}", pointer)
     return frozenset(i - 1 for i in raw)
@@ -148,7 +169,7 @@ def _parse_iota(raw: Any, rank: int, dim: int, pointer: str) -> IntMatrix:
         not isinstance(raw, list)
         or len(raw) != dim
         or not all(isinstance(r, list) and len(r) == rank for r in raw)
-        or not all(isinstance(x, int) for r in raw for x in r)
+        or not all(_is_int(x) for r in raw for x in r)
     ):
         raise SchemaError(
             f"iota must be a {dim}x{rank} integer matrix (rows over the "
@@ -168,20 +189,24 @@ def parse_general(doc: dict) -> GeneralDatum:
     if not isinstance(raw_ob, dict):
         raise SchemaError("omega_bar must be an index map", "/omega_bar")
     omega_bar = []
-    for k, v in sorted(raw_ob.items(), key=lambda kv: int(kv[0])):
-        i = int(k)
+    for k, v in raw_ob.items():
+        try:
+            i = int(k)
+        except ValueError:
+            raise SchemaError(f"bad index {k!r}", f"/omega_bar/{k}")
         if not (1 <= i <= rank):
-            raise SchemaError(f"index {i} out of range", "/omega_bar")
+            raise SchemaError(f"index {i} out of range", f"/omega_bar/{k}")
         omega_bar.append((i - 1, _parse_char(v, space_K, f"/omega_bar/{k}")))
+    omega_bar.sort(key=lambda ic: ic[0])
     xi2 = []
-    for k, entry in enumerate(doc.get("xi2_prime", [])):
+    for k, entry in enumerate(_list_field(doc, "xi2_prime")):
         lam = _parse_weight(_need(entry, "lambda_L", f"/xi2_prime/{k}"), rank,
                             f"/xi2_prime/{k}/lambda_L")
         chi = _parse_char(_need(entry, "chi", f"/xi2_prime/{k}"), space_K,
                           f"/xi2_prime/{k}/chi")
         xi2.append((lam, chi))
     xi3 = []
-    for k, entry in enumerate(doc.get("xi3_prime", [])):
+    for k, entry in enumerate(_list_field(doc, "xi3_prime")):
         mu = _parse_char(_need(entry, "mu", f"/xi3_prime/{k}"), codomain,
                          f"/xi3_prime/{k}/mu")
         lift: Optional[WeightVec] = None
@@ -219,7 +244,7 @@ def parse_solvable(doc: dict) -> SolvableDatum:
         if (
             not isinstance(r, list)
             or len(r) != rank
-            or not all(isinstance(x, int) for x in r)
+            or not all(_is_int(x) for x in r)
         ):
             raise SchemaError(f"root must have {rank} integer entries",
                               f"/active_roots/{k}")

@@ -1,11 +1,20 @@
 """Shared example data: the three worked examples plus the solvable variants."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from ewm.core import GeneralDatum
 from ewm.intlin import CharSpace, CharVec, IntMatrix
 from ewm.rootsys import CartanType, RootVec, WeightVec, build_root_system
 from ewm.solvable import SolvableDatum
+
+# CLI tests run `python -m ewm.cli` in a child interpreter: let it import this
+# checkout's src/ even when PYTHONPATH was not set by the caller.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

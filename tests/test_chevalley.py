@@ -36,13 +36,13 @@ def test_sl2_relations():
 
 def test_a2_constants_unit():
     alg = algebra("A", 2)
-    table = alg.const_table()
+    table = alg.table
     assert set(abs(v) for v in table.values()) == {1}
 
 
 def test_b2_long_string_constant():
     alg = algebra("B", 2)
-    table = alg.const_table()
+    table = alg.table
     # alpha2-string through alpha1+alpha2 has p=1, so |N| = 2
     assert abs(table.get(((0, 1), (1, 1)), table.get(((1, 1), (0, 1)), 0))) == 2
 
@@ -80,19 +80,80 @@ def test_jacobi_small_types(family, n):
         assert j.is_zero()
 
 
-@pytest.mark.parametrize("family,n", [("A", 3), ("B", 3), ("G", 2)])
+@pytest.mark.parametrize(
+    "family,n",
+    [("A", 3), ("B", 3), ("G", 2), ("C", 4), ("D", 5), ("F", 4), ("E", 6)],
+)
 def test_constant_magnitude_is_string_length(family, n):
     rs = build_root_system(CartanType(((family, n),)))
     alg = build_algebra(rs)
     pos = {r.coeffs for r in rs.pos_roots}
     roots = pos | {tuple(-c for c in p) for p in pos}
-    for (beta, gamma), val in alg.const_table().items():
+    for (beta, gamma), val in alg.table.items():
         p = 0
         cur = tuple(g - b for g, b in zip(gamma, beta))
         while cur in roots:
             p += 1
             cur = tuple(c - b for c, b in zip(cur, beta))
         assert abs(val) == p + 1
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)],
+)
+def test_extraspecial_pairs_positive(family, n):
+    """Sign convention: for each non-simple positive root delta, with alpha the
+    first positive root (in pos_roots order) such that delta - alpha is
+    positive, N(alpha, delta - alpha) = p + 1 > 0, where p is the length of
+    the alpha-string down from delta - alpha."""
+    rs = build_root_system(CartanType(((family, n),)))
+    alg = build_algebra(rs)
+    pos = [r.coeffs for r in rs.pos_roots]
+    roots = set(pos) | {tuple(-c for c in r) for r in pos}
+    checked = 0
+    for delta in pos:
+        if sum(delta) == 1:
+            continue
+        alpha = next(a for a in pos if tuple(d - x for d, x in zip(delta, a)) in pos)
+        beta = tuple(d - x for d, x in zip(delta, alpha))
+        p = 0
+        cur = tuple(b - a for b, a in zip(beta, alpha))
+        while cur in roots:
+            p += 1
+            cur = tuple(c - a for c, a in zip(cur, alpha))
+        assert alg.table[(alpha, beta)] == p + 1, (delta, alpha)
+        checked += 1
+    assert checked == len(pos) - n
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_jacobi_e_types_root_triples(n):
+    """Jacobi identity on sampled root-vector triples (beta, gamma, delta) with
+    beta + gamma a root and beta + gamma + delta a root or zero, so that no
+    term vanishes for trivial reasons."""
+    alg = algebra("E", n)
+    pos = [r.coeffs for r in alg.rs.pos_roots]
+    roots = pos + [tuple(-c for c in r) for r in pos]
+    root_set = set(roots)
+    zero = (0,) * n
+    rng = random.Random(41 + n)
+    found = 0
+    while found < 150:
+        b, g, d = rng.sample(roots, 3)
+        bg = tuple(x + y for x, y in zip(b, g))
+        bgd = tuple(x + y for x, y in zip(bg, d))
+        if bg not in root_set or (bgd not in root_set and bgd != zero):
+            continue
+        found += 1
+        x, y, z = (root_vector(alg, r) for r in (b, g, d))
+        j = (
+            bracket(alg, x, bracket(alg, y, z))
+            + bracket(alg, y, bracket(alg, z, x))
+            + bracket(alg, z, bracket(alg, x, y))
+        )
+        assert j.is_zero(), (b, g, d)
+        assert not bracket(alg, x, y).is_zero()
 
 
 def test_antisymmetry_and_alternating():

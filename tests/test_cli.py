@@ -3,9 +3,12 @@
 import json
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import pytest
+
+from ewm.cli import run
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = DATA / "golden"
@@ -154,3 +157,30 @@ def test_check_mode_reports():
 def test_unknown_mode_rejected():
     proc = run_cli(["roots"], stdin='{"mode": "nonsense"}')
     assert proc.returncode == 2
+
+
+def _so7_with(edit):
+    doc = json.loads((DATA / "so7.json").read_text(encoding="utf-8"))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit,pointer",
+    [
+        (lambda d: d.update(group=[5]), "/group/0"),
+        (lambda d: d["group"][0].update(rank=True), "/group/0"),
+        (lambda d: d["omega_bar"].update(x=[1, 0]), "/omega_bar/x"),
+        (lambda d: d["codomain"].update(moduli=5), "/codomain/moduli"),
+        (lambda d: d["codomain"].update(names=3), "/codomain/names"),
+        (lambda d: d["char_space_K"].update(names=["ψ1"]), "/char_space_K/names"),
+        (lambda d: d.update(sigma_simple=[True]), "/sigma_simple"),
+        (lambda d: d.update(xi3_prime=5), "/xi3_prime"),
+    ],
+    ids=["group-int", "rank-bool", "omega-bar-key", "moduli-int", "names-int",
+         "names-short", "sigma-bool", "xi3-int"],
+)
+def test_malformed_document_exits_2_with_pointer(edit, pointer, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(_so7_with(edit))))
+    assert run(["general"]) == 2
+    assert f"schema error at {pointer}:" in capsys.readouterr().err
