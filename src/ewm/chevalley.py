@@ -40,8 +40,7 @@ class AlgVec:
 
     @staticmethod
     def make(d: dict) -> "AlgVec":
-        cleaned = {k: Fraction(v) for k, v in d.items() if v != 0}
-        return AlgVec(tuple(sorted(cleaned.items(), key=lambda kv: repr(kv[0]))))
+        return AlgVec(tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0)))
 
     def as_dict(self) -> dict:
         return dict(self.items)
@@ -52,7 +51,7 @@ class AlgVec:
     def __add__(self, other: "AlgVec") -> "AlgVec":
         d = self.as_dict()
         for k, v in other.items:
-            d[k] = d.get(k, Fraction(0)) + v
+            d[k] = d.get(k, 0) + v
         return AlgVec.make(d)
 
     def scale(self, c) -> "AlgVec":
@@ -66,21 +65,7 @@ class ChevalleyAlgebra:
 
     rs: RootSystem
     table: dict[tuple[Root, Root], int]  # N on positive pairs
-    norm2: dict[Root, Fraction]  # squared length of each positive root
-    basis: tuple[Key, ...]
-    index: dict[Key, int]  # basis label -> coordinate
-
-
-def _norm2(rs: RootSystem, r: Root) -> Fraction:
-    """Squared length of a root via the symmetrized Cartan matrix."""
-    total = Fraction(0)
-    n = rs.rank
-    for i in range(n):
-        if r[i]:
-            for j in range(n):
-                if r[j] and rs.cartan[i][j]:
-                    total += r[i] * rs.sym[i] * rs.cartan[i][j] * r[j]
-    return total
+    norm2: dict[Root, int]  # squared length of each positive root
 
 
 def _neg(r: Root) -> Root:
@@ -103,33 +88,39 @@ def _string_down(norm2: dict, beta: Root, alpha: Root) -> int:
     return p
 
 
-def N(table: dict, norm2: dict, a: Root, b: Root) -> Fraction:
+def N(table: dict, norm2: dict, a: Root, b: Root) -> int:
     """Structure constant N_{a,b} for roots of any sign, reduced to the
     positive-pair table; `norm2` holds the squared length of each positive
-    root and doubles as the positive-root set."""
+    root and doubles as the positive-root set.  The norm ratios divide
+    exactly, since every structure constant is an integer."""
     s = tuple(x + y for x, y in zip(a, b))
     if not _is_root(norm2, s):
-        return Fraction(0)
+        return 0
     a_pos = a in norm2
     b_pos = b in norm2
     if a_pos and b_pos:
-        return Fraction(table[(a, b)] if (a, b) in table else -table[(b, a)])
+        return table[(a, b)] if (a, b) in table else -table[(b, a)]
     if not a_pos and not b_pos:
         return -N(table, norm2, _neg(a), _neg(b))
     if not a_pos:  # a = -u, b = v, both u, v positive
         u = _neg(a)
         if s in norm2:  # v - u is a positive root
-            return N(table, norm2, u, s) * norm2[s] / norm2[b]
+            return N(table, norm2, u, s) * norm2[s] // norm2[b]
         # u - v is a positive root: N(-u, v) = N(-v, u)
         w = _neg(s)
-        return N(table, norm2, b, w) * norm2[w] / norm2[u]
+        return N(table, norm2, b, w) * norm2[w] // norm2[u]
     return -N(table, norm2, b, a)
 
 
 def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
     """Fill the positive-pair structure-constant table by height recursion."""
     pos = [r.coeffs for r in rs.pos_roots]  # already (height, lex) sorted
-    norm2 = {r: _norm2(rs, r) for r in pos}
+    n = rs.rank
+    sym = [int(x) for x in rs.sym]  # the symmetrizer is integral
+    norm2 = {
+        r: sum(r[i] * sym[i] * rs.cartan[i][j] * r[j] for i in range(n) for j in range(n))
+        for r in pos
+    }
     table: dict[tuple[Root, Root], int] = {}
 
     for delta in pos:
@@ -144,32 +135,25 @@ def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
         alpha, beta = pairs[0]
         table[(alpha, beta)] = _string_down(norm2, beta, alpha) + 1
         # remaining pairs summing to delta, via the Jacobi identity with -alpha
-        n_delta_malpha = -table[(alpha, beta)] * norm2[beta] / norm2[delta]
         m_alpha = _neg(alpha)
+        n_delta_malpha = N(table, norm2, delta, m_alpha)
         for xi, eta in pairs:
             if xi == alpha or eta == alpha:
                 continue
             if (xi, eta) in table or (eta, xi) in table:
                 continue
-            acc = Fraction(0)
+            acc = 0
             xi_m = tuple(x - a for x, a in zip(xi, alpha))
             if _is_root(norm2, xi_m):
                 acc += N(table, norm2, m_alpha, xi) * N(table, norm2, xi_m, eta)
             eta_m = tuple(x - a for x, a in zip(eta, alpha))
             if _is_root(norm2, eta_m):
                 acc += N(table, norm2, eta, m_alpha) * N(table, norm2, eta_m, xi)
-            val = -acc / n_delta_malpha
-            if val.denominator != 1:
-                raise EwmError(f"structure constant N{xi},{eta} = {val} is not an integer")
-            table[(xi, eta)] = int(val)
-
-    basis: list[Key] = [("e", r) for r in pos]
-    basis += [("e", _neg(r)) for r in pos]
-    basis += [("h", i) for i in range(rs.rank)]
-    return ChevalleyAlgebra(
-        rs=rs, table=table, norm2=norm2, basis=tuple(basis),
-        index={k: i for i, k in enumerate(basis)},
-    )
+            val, rem = divmod(-acc, n_delta_malpha)
+            if rem:
+                raise EwmError(f"structure constant N{xi},{eta} is not an integer")
+            table[(xi, eta)] = val
+    return ChevalleyAlgebra(rs=rs, table=table, norm2=norm2)
 
 
 def root_vector(alg: ChevalleyAlgebra, r: Sequence[int]) -> AlgVec:
@@ -194,11 +178,13 @@ def _bracket_basis(alg: ChevalleyAlgebra, a: Key, b: Key) -> dict:
     beta, gamma = a[1], b[1]
     s = tuple(p + q for p, q in zip(beta, gamma))
     if all(c == 0 for c in s):
-        # [e_beta, e_-beta] = h_beta = sum_j beta_j d_j / d_beta * h_j, beta > 0
+        # [e_beta, e_-beta] = h_beta = sum_j beta_j d_j / d_beta * h_j, beta > 0,
+        # with d_beta = norm2[beta] / 2; each coefficient is an integer
         sign = 1 if beta in alg.norm2 else -1
         bpos = beta if sign == 1 else gamma
-        d_beta = alg.norm2[bpos] / 2
-        return {("h", j): sign * bpos[j] * rs.sym[j] / d_beta for j in range(rs.rank)}
+        n2 = alg.norm2[bpos]
+        return {("h", j): Fraction(2 * sign * bpos[j] * rs.sym[j], n2)
+                for j in range(rs.rank)}
     if _is_root(alg.norm2, s):
         return {("e", s): N(alg.table, alg.norm2, beta, gamma)}
     return {}
@@ -210,49 +196,40 @@ def bracket(alg: ChevalleyAlgebra, x: AlgVec, y: AlgVec) -> AlgVec:
     for ka, ca in x.items:
         for kb, cb in y.items:
             for k, v in _bracket_basis(alg, ka, kb).items():
-                acc[k] = acc.get(k, Fraction(0)) + ca * cb * v
+                acc[k] = acc.get(k, 0) + ca * cb * v
     return AlgVec.make(acc)
 
 
-def _to_coords(alg: ChevalleyAlgebra, v: AlgVec) -> list[Fraction]:
-    out = [Fraction(0)] * len(alg.basis)
-    for k, c in v.items:
-        out[alg.index[k]] = c
-    return out
-
-
 class _Span:
-    """Incremental row-echelon span over the rationals."""
+    """Incremental echelon span of sparse vectors {basis label: Fraction};
+    each row is scaled to 1 at its pivot, its smallest label."""
 
-    def __init__(self, dim: int):
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self.dim = dim
+    def __init__(self):
+        self.rows: list[tuple[Key, dict]] = []
 
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p] / row[p]
-                v = [a - f * b for a, b in zip(v, row)]
+    def _reduce(self, vec: AlgVec) -> dict:
+        v = vec.as_dict()
+        for p, row in self.rows:
+            c = v.get(p)
+            if c:
+                for k, x in row.items():
+                    v[k] = v.get(k, 0) - c * x
+                    if not v[k]:
+                        del v[k]
         return v
 
-    def contains(self, vec: list[Fraction]) -> bool:
-        return all(c == 0 for c in self._reduce(vec))
+    def contains(self, vec: AlgVec) -> bool:
+        return not self._reduce(vec)
 
-    def add(self, vec: list[Fraction]) -> bool:
+    def add(self, vec: AlgVec) -> bool:
         """Insert vec; returns True if it enlarged the span."""
         v = self._reduce(vec)
-        for i, c in enumerate(v):
-            if c != 0:
-                self.rows.append(v)
-                self.pivots.append(i)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v[p]
+        self.rows.append((p, {k: x * inv for k, x in v.items()}))
+        return True
 
 
 def ideal_closure(
@@ -260,25 +237,20 @@ def ideal_closure(
 ) -> list[AlgVec]:
     """Smallest subspace containing the generators and stable under bracketing
     with every ambient basis vector (fixpoint iteration, exact rank tests)."""
-    amb = _Span(len(alg.basis))
+    amb = _Span()
     for a in ambient:
-        amb.add(_to_coords(alg, a))
-    for g in generators:
-        if not amb.contains(_to_coords(alg, g)):
-            raise GeneratorsOutsideAmbient("generator outside ambient span")
-    span = _Span(len(alg.basis))
-    current = [g for g in generators if not g.is_zero()]
-    basis_vecs: list[AlgVec] = []
-    for g in current:
-        if span.add(_to_coords(alg, g)):
-            basis_vecs.append(g)
+        amb.add(a)
+    if not all(amb.contains(g) for g in generators):
+        raise GeneratorsOutsideAmbient("generator outside ambient span")
+    span = _Span()
+    basis_vecs = [g for g in generators if span.add(g)]
     frontier = list(basis_vecs)
     while frontier:
         new: list[AlgVec] = []
         for v in frontier:
             for a in ambient:
                 w = bracket(alg, a, v)
-                if not w.is_zero() and span.add(_to_coords(alg, w)):
+                if span.add(w):
                     basis_vecs.append(w)
                     new.append(w)
         frontier = new
@@ -286,10 +258,10 @@ def ideal_closure(
 
 
 def is_contained(alg: ChevalleyAlgebra, sub: Sequence[AlgVec], space: Sequence[AlgVec]) -> bool:
-    sp = _Span(len(alg.basis))
+    sp = _Span()
     for v in space:
-        sp.add(_to_coords(alg, v))
-    return all(sp.contains(_to_coords(alg, v)) for v in sub)
+        sp.add(v)
+    return all(sp.contains(v) for v in sub)
 
 
 def commutes_with_all(alg: ChevalleyAlgebra, x: AlgVec, gens: Iterable[AlgVec]) -> bool:

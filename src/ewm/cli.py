@@ -45,7 +45,7 @@ from .errors import (
     UniquenessViolated,
 )
 from .intlin import CharSpace, CharVec, IntMatrix
-from .rootsys import CartanType, RootVec, WeightVec, build_root_system
+from .rootsys import CartanType, RootVec, WeightVec, build_root_system, is_dominant
 from .solvable import SolvableDatum, solvable_monoid
 
 __all__ = ["main", "run", "parse_input", "emit_output"]
@@ -202,6 +202,8 @@ def parse_general(doc: dict) -> GeneralDatum:
     for k, entry in enumerate(_list_field(doc, "xi2_prime")):
         lam = _parse_weight(_need(entry, "lambda_L", f"/xi2_prime/{k}"), rank,
                             f"/xi2_prime/{k}/lambda_L")
+        if not is_dominant(lam):
+            raise SchemaError("lambda_L must be dominant", f"/xi2_prime/{k}/lambda_L")
         chi = _parse_char(_need(entry, "chi", f"/xi2_prime/{k}"), space_K,
                           f"/xi2_prime/{k}/chi")
         xi2.append((lam, chi))

@@ -28,7 +28,6 @@ from .errors import (
     NoExpression,
     NoLift,
     SupportClash,
-    SupportOutsidePiL,
     UniquenessViolated,
 )
 from .intlin import (
@@ -41,7 +40,15 @@ from .intlin import (
     mat_vec,
     solve_with_moduli,
 )
-from .rootsys import RootSystem, WeightVec, is_dominant, root_to_weight, wsupp
+from .rootsys import (
+    RootSystem,
+    RootVec,
+    WeightVec,
+    inner,
+    is_dominant,
+    root_to_weight,
+    wsupp,
+)
 
 __all__ = [
     "Biweight",
@@ -51,7 +58,6 @@ __all__ = [
     "NonUnique",
     "NecessaryReport",
     "compute_xi1",
-    "lift_tau_L",
     "compute_xi2",
     "pi12",
     "xi12_at",
@@ -70,14 +76,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Biweight:
-    """A generator (lambda, chi) of the extended weight monoid."""
+    """A generator (lambda, chi) of the extended weight monoid; lambda must be
+    dominant, or the input contradicts the generation theorem."""
 
     lam: WeightVec
     chi: CharVec
     origin: str  # "Xi1" | "Xi2" | "Xi3"
 
     def __post_init__(self):
-        assert is_dominant(self.lam), self.lam
+        if not is_dominant(self.lam):
+            raise Inconsistent(
+                f"{self.origin} generator weight {self.lam.coeffs} is not dominant"
+            )
 
 
 @dataclass(frozen=True)
@@ -154,22 +164,15 @@ def compute_xi1(d: GeneralDatum) -> list[Biweight]:
     return out
 
 
-def lift_tau_L(d: GeneralDatum, lambda_L: WeightVec) -> WeightVec:
-    """Lift a dominant weight of the Levi by placing the same coefficients at
-    the matching fundamental weights of the big group (the inverse of the
-    restriction isomorphism)."""
-    if not wsupp(lambda_L) <= d.pi_L:
-        raise SupportOutsidePiL(f"support {sorted(wsupp(lambda_L))} not inside Levi")
-    return lambda_L
-
-
 def compute_xi2(d: GeneralDatum) -> list[Biweight]:
-    """Second family, transported from the Levi quotient."""
+    """Second family, transported from the Levi quotient: a dominant weight of
+    the Levi lifts with the same coefficients at the matching fundamental
+    weights of the big group."""
     out = []
     for lam_L, chi in d.xi2_prime:
         if wsupp(lam_L) & (set(range(d.rank)) - d.pi_L):
             raise SupportClash(f"second-family support meets the Levi complement")
-        out.append(Biweight(lift_tau_L(d, lam_L), chi, "Xi2"))
+        out.append(Biweight(lam_L, chi, "Xi2"))
     return out
 
 
@@ -215,9 +218,7 @@ def _iota_of_simple_root(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
     return mat_vec(d.iota, w.coeffs)
 
 
-def _root_basis_vec(rank: int, i: int):
-    from .rootsys import RootVec
-
+def _root_basis_vec(rank: int, i: int) -> RootVec:
     return RootVec(tuple(1 if j == i else 0 for j in range(rank)))
 
 
@@ -302,10 +303,14 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
         for a, bw in zip(particular, xi12):
             lam = lam + bw.lam.scale(a)
             chi = chi + bw.chi.scale(a)
-        assert is_dominant(lam), lam
+        gen = Biweight(lam, chi, "Xi3")
         for a in p12:
-            assert lam.coeffs[a] == delta_coeff(d, mu_index, a)
-        out.append(Biweight(lam, chi, "Xi3"))
+            if lam.coeffs[a] != delta_coeff(d, mu_index, a):
+                raise Inconsistent(
+                    f"third-family weight for module weight {mu_index} misses its "
+                    f"prescribed coefficient at alpha_{a + 1}"
+                )
+        out.append(gen)
     if nonunique_entries:
         return NonUnique(entries=tuple(nonunique_entries), xi12_size=len(xi12))
     return out
@@ -409,7 +414,10 @@ def compute_monoid(d: GeneralDatum) -> MonoidResult:
         )
     generators = tuple(xi1 + xi2 + xi3)
     expected = (d.rank - len(d.pi_L)) + len(d.xi2_prime) + len(d.xi3_prime)
-    assert len(generators) == expected, (len(generators), expected)
+    if len(generators) != expected:
+        raise Inconsistent(
+            f"{len(generators)} generators, but the rank formula gives {expected}"
+        )
     return MonoidResult(
         generators=generators,
         lambda_basis=tuple(lambda_lattice(d)),
@@ -461,8 +469,6 @@ def levi_kernel_helper(
 ) -> tuple[set[int], list[tuple[int, ...]]]:
     """The sub-Levi orthogonal to a character basis, and the common kernel of
     those characters in the cocharacter lattice (simple-coroot coordinates)."""
-    from .rootsys import inner
-
     pi_M = set()
     for a in sorted(d.pi_L):
         alpha_w = root_to_weight(d.rs, _root_basis_vec(d.rank, a))

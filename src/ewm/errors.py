@@ -10,7 +10,6 @@ __all__ = [
     "InvalidType",
     "NegativeRootCoordinate",
     "MissingOmegaBar",
-    "SupportOutsidePiL",
     "SupportClash",
     "AlphaNotInLambda",
     "NoExpression",
@@ -39,10 +38,6 @@ class NegativeRootCoordinate(EwmError):
 
 class MissingOmegaBar(EwmError):
     """A restriction of a fundamental weight is required but was not supplied."""
-
-
-class SupportOutsidePiL(EwmError):
-    """A Levi-side weight has support outside the Levi simple roots."""
 
 
 class SupportClash(EwmError):

@@ -321,7 +321,9 @@ def test_criterion_8_property_suites(capsys):
         # Jacobi identity on 1000 random basis triples in A5 and B3
         for fam, n in (("A", 5), ("B", 3)):
             alg = build_algebra(build_root_system(CartanType(((fam, n),))))
-            basis = list(alg.basis)
+            pos = [r.coeffs for r in alg.rs.pos_roots]
+            basis = ([("e", r) for r in pos] + [("e", tuple(-c for c in r)) for r in pos]
+                     + [("h", i) for i in range(n)])
             for _ in range(500):
                 x, y, z = (AlgVec.make({rng.choice(basis): 1}) for _ in range(3))
                 j = (

@@ -3,11 +3,14 @@ magnitude law, grading, and the subspace machinery used by the sufficient
 test."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ewm.chevalley import (
+    N,
     AlgVec,
+    _bracket_basis,
     bracket,
     build_algebra,
     cartan_vector,
@@ -22,6 +25,13 @@ from ewm.rootsys import CartanType, build_root_system
 
 def algebra(family, n):
     return build_algebra(build_root_system(CartanType(((family, n),))))
+
+
+def basis_labels(alg):
+    """Every Chevalley basis label: e_r for each root r, then h_0 .. h_{n-1}."""
+    pos = [r.coeffs for r in alg.rs.pos_roots]
+    return ([("e", r) for r in pos] + [("e", tuple(-c for c in r)) for r in pos]
+            + [("h", i) for i in range(alg.rs.rank)])
 
 
 def test_sl2_relations():
@@ -50,7 +60,7 @@ def test_b2_long_string_constant():
 @pytest.mark.parametrize("family,n", [("A", 5), ("B", 3)])
 def test_jacobi_random_triples(family, n):
     alg = algebra(family, n)
-    basis = list(alg.basis)
+    basis = basis_labels(alg)
     rng = random.Random(23)
     for _ in range(500):
         x, y, z = (AlgVec.make({rng.choice(basis): 1}) for _ in range(3))
@@ -68,7 +78,7 @@ def test_jacobi_random_triples(family, n):
 )
 def test_jacobi_small_types(family, n):
     alg = algebra(family, n)
-    basis = list(alg.basis)
+    basis = basis_labels(alg)
     rng = random.Random(29)
     for _ in range(150):
         x, y, z = (AlgVec.make({rng.choice(basis): 1}) for _ in range(3))
@@ -85,17 +95,51 @@ def test_jacobi_small_types(family, n):
     [("A", 3), ("B", 3), ("G", 2), ("C", 4), ("D", 5), ("F", 4), ("E", 6)],
 )
 def test_constant_magnitude_is_string_length(family, n):
+    """|N(beta, gamma)| = p + 1, with p the length of the beta-string down
+    from gamma: on the table, and through `N` on every ordered pair of roots
+    of any sign whose sum is a root, always as a plain int."""
     rs = build_root_system(CartanType(((family, n),)))
     alg = build_algebra(rs)
     pos = {r.coeffs for r in rs.pos_roots}
     roots = pos | {tuple(-c for c in p) for p in pos}
-    for (beta, gamma), val in alg.table.items():
+
+    def string_down(beta, gamma):
         p = 0
         cur = tuple(g - b for g, b in zip(gamma, beta))
         while cur in roots:
             p += 1
             cur = tuple(c - b for c, b in zip(cur, beta))
-        assert abs(val) == p + 1
+        return p
+
+    for (beta, gamma), val in alg.table.items():
+        assert type(val) is int and abs(val) == string_down(beta, gamma) + 1
+    pairs = 0
+    for beta in roots:
+        for gamma in roots:
+            if tuple(b + g for b, g in zip(beta, gamma)) not in roots:
+                continue
+            val = N(alg.table, alg.norm2, beta, gamma)
+            assert type(val) is int, (beta, gamma, val)
+            assert abs(val) == string_down(beta, gamma) + 1, (beta, gamma, val)
+            pairs += 1
+    assert pairs > 2 * len(alg.table)
+
+
+@pytest.mark.parametrize("family,n", [("B", 3), ("C", 3), ("F", 4), ("G", 2)])
+def test_coroot_coefficients_integral(family, n):
+    """[e_beta, e_-beta] is the coroot of beta: integral coefficients on the
+    simple coroots h_j, held exactly, for every positive beta."""
+    alg = algebra(family, n)
+    for r in alg.rs.pos_roots:
+        beta, neg = r.coeffs, tuple(-c for c in r.coeffs)
+        # the raw terms, before AlgVec.make would turn a float into a Fraction
+        terms = _bracket_basis(alg, ("e", beta), ("e", neg))
+        assert all(type(c) in (int, Fraction) for c in terms.values()), (beta, terms)
+        h = bracket(alg, root_vector(alg, beta), root_vector(alg, neg))
+        assert h.items and all(key[0] == "h" for key, _ in h.items)
+        assert all(c.denominator == 1 for _, c in h.items), (beta, h)
+        if sum(beta) == 1:
+            assert h.as_dict() == {("h", beta.index(1)): 1}
 
 
 @pytest.mark.parametrize(
@@ -158,11 +202,11 @@ def test_jacobi_e_types_root_triples(n):
 
 def test_antisymmetry_and_alternating():
     alg = algebra("B", 2)
-    for key in alg.basis:
+    for key in basis_labels(alg):
         v = AlgVec.make({key: 1})
         assert bracket(alg, v, v).is_zero()
     rng = random.Random(31)
-    basis = list(alg.basis)
+    basis = basis_labels(alg)
     for _ in range(50):
         x = AlgVec.make({rng.choice(basis): rng.randint(1, 3)})
         y = AlgVec.make({rng.choice(basis): rng.randint(1, 3)})

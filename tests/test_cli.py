@@ -159,28 +159,59 @@ def test_unknown_mode_rejected():
     assert proc.returncode == 2
 
 
-def _so7_with(edit):
-    doc = json.loads((DATA / "so7.json").read_text(encoding="utf-8"))
+def _doc_with(name, edit):
+    doc = json.loads((DATA / name).read_text(encoding="utf-8"))
     edit(doc)
     return doc
 
 
+def _nondominant_lambda_L(d):
+    d["xi2_prime"][0]["lambda_L"] = {"1": 1, "2": -1, "4": 1}
+
+
+def _empty_xi2(d):
+    d["xi2_prime"] = []
+
+
 @pytest.mark.parametrize(
-    "edit,pointer",
+    "base,edit,pointer",
     [
-        (lambda d: d.update(group=[5]), "/group/0"),
-        (lambda d: d["group"][0].update(rank=True), "/group/0"),
-        (lambda d: d["omega_bar"].update(x=[1, 0]), "/omega_bar/x"),
-        (lambda d: d["codomain"].update(moduli=5), "/codomain/moduli"),
-        (lambda d: d["codomain"].update(names=3), "/codomain/names"),
-        (lambda d: d["char_space_K"].update(names=["ψ1"]), "/char_space_K/names"),
-        (lambda d: d.update(sigma_simple=[True]), "/sigma_simple"),
-        (lambda d: d.update(xi3_prime=5), "/xi3_prime"),
+        ("so7.json", lambda d: d.update(group=[5]), "/group/0"),
+        ("so7.json", lambda d: d["group"][0].update(rank=True), "/group/0"),
+        ("so7.json", lambda d: d["omega_bar"].update(x=[1, 0]), "/omega_bar/x"),
+        ("so7.json", lambda d: d["codomain"].update(moduli=5), "/codomain/moduli"),
+        ("so7.json", lambda d: d["codomain"].update(names=3), "/codomain/names"),
+        ("so7.json", lambda d: d["char_space_K"].update(names=["ψ1"]), "/char_space_K/names"),
+        ("so7.json", lambda d: d.update(sigma_simple=[True]), "/sigma_simple"),
+        ("so7.json", lambda d: d.update(xi3_prime=5), "/xi3_prime"),
+        ("sl6.json", _nondominant_lambda_L, "/xi2_prime/0/lambda_L"),
     ],
     ids=["group-int", "rank-bool", "omega-bar-key", "moduli-int", "names-int",
-         "names-short", "sigma-bool", "xi3-int"],
+         "names-short", "sigma-bool", "xi3-int", "lambda-L-nondominant"],
 )
-def test_malformed_document_exits_2_with_pointer(edit, pointer, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(_so7_with(edit))))
+def test_malformed_document_exits_2_with_pointer(base, edit, pointer, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(_doc_with(base, edit))))
     assert run(["general"]) == 2
     assert f"schema error at {pointer}:" in capsys.readouterr().err
+
+
+def test_nondominant_third_family_exits_3(monkeypatch, capsys):
+    """Without its second family, sl3_parabolic's third-family weight is not
+    dominant: the input contradicts the generation theorem."""
+    doc = _doc_with("sl3_parabolic.json", _empty_xi2)
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
+    assert run(["general"]) == 3
+    assert "inconsistent input:" in capsys.readouterr().err
+
+
+def test_exit_codes_hold_under_optimize(tmp_path):
+    """The dominance checks are typed errors, not asserts, so `python -O`
+    exits with the same codes."""
+    for base, edit, code in (("sl6.json", _nondominant_lambda_L, 2),
+                             ("sl3_parabolic.json", _empty_xi2, 3)):
+        path = tmp_path / base
+        path.write_text(json.dumps(_doc_with(base, edit)), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-O", "-m", "ewm.cli", "general",
+                               "--input", str(path)], capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""

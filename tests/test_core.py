@@ -21,7 +21,6 @@ from ewm.core import (
     kernel_iota,
     lambda_lattice,
     levi_kernel_helper,
-    lift_tau_L,
     mu_lift,
     pi12,
     rho_value,
@@ -33,7 +32,6 @@ from ewm.errors import (
     Inconsistent,
     MissingOmegaBar,
     SupportClash,
-    SupportOutsidePiL,
     NoLift,
     UniquenessViolated,
 )
@@ -190,11 +188,6 @@ class TestValidation:
         d = dataclasses.replace(sl6, omega_bar=())
         with pytest.raises(MissingOmegaBar):
             compute_xi1(d)
-
-    def test_lift_tau_L_support_check(self, sl6):
-        with pytest.raises(SupportOutsidePiL):
-            lift_tau_L(sl6, WeightVec((0, 0, 1, 0, 0)))
-        assert lift_tau_L(sl6, WeightVec((1, 0, 0, 1, 0))).coeffs == (1, 0, 0, 1, 0)
 
     def test_support_clash(self, sl6):
         d = dataclasses.replace(sl6, xi2_prime=(

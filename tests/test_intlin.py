@@ -241,3 +241,19 @@ def test_char_space_reduction():
     assert (-v).coords == (-3, 1, 1)
     assert v.scale(2).coords == (6, -2, 0)
     assert sp.zero().is_zero()
+
+
+def test_snf_diagonal_matches_sympy_oracle():
+    """The Smith diagonal agrees with sympy's invariant factors, computed
+    independently, on 200 seeded random matrices up to 5x5."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(53)
+    for _ in range(200):
+        m, n, bound = rng.randint(1, 5), rng.randint(1, 5), rng.choice([1, 3, 9])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        _, D, _ = smith_normal_form(IntMatrix.from_rows(rows))
+        diag = [D.entries[i][i] for i in range(min(m, n))]
+        oracle = [abs(int(x)) for x in invariant_factors(sympy.Matrix(rows))]
+        assert diag == oracle, rows
