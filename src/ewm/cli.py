@@ -50,6 +50,10 @@ from .solvable import SolvableDatum, solvable_monoid
 
 __all__ = ["main", "run", "parse_input", "emit_output"]
 
+# Largest total rank a document may ask for, checked before any root system
+# is built: the positive roots of A_n number n(n+1)/2, each of length n.
+MAX_RANK = 128
+
 _MATH_ERRORS = (
     Inconsistent,
     BijectionFailure,
@@ -98,9 +102,13 @@ def _parse_group(doc: dict, pointer: str) -> CartanType:
                               f"{pointer}/group/{k}")
         factors.append((fam, n))
     try:
-        return CartanType(tuple(factors))
+        ctype = CartanType(tuple(factors))
     except EwmError as e:
         raise SchemaError(str(e), f"{pointer}/group")
+    if ctype.rank > MAX_RANK:
+        raise SchemaError(f"total rank {ctype.rank} exceeds the limit {MAX_RANK}",
+                          f"{pointer}/group")
+    return ctype
 
 
 def _parse_char_space(raw: Any, pointer: str) -> CharSpace:
@@ -179,8 +187,7 @@ def _parse_iota(raw: Any, rank: int, dim: int, pointer: str) -> IntMatrix:
 
 def parse_general(doc: dict) -> GeneralDatum:
     ctype = _parse_group(doc, "")
-    rs = build_root_system(ctype)
-    rank = rs.rank
+    rank = ctype.rank
     pi_L = _parse_indices(_need(doc, "pi_L", ""), rank, "/pi_L")
     space_K = _parse_char_space(_need(doc, "char_space_K", ""), "/char_space_K")
     codomain = _parse_char_space(_need(doc, "codomain", ""), "/codomain")
@@ -220,7 +227,7 @@ def parse_general(doc: dict) -> GeneralDatum:
     if not isinstance(unique_expected, bool):
         raise SchemaError("unique_expected must be a boolean", "/unique_expected")
     return GeneralDatum(
-        rs=rs,
+        rs=build_root_system(ctype),
         pi_L=pi_L,
         char_space_K=space_K,
         omega_bar=tuple(omega_bar),
@@ -235,13 +242,10 @@ def parse_general(doc: dict) -> GeneralDatum:
 
 def parse_solvable(doc: dict) -> SolvableDatum:
     ctype = _parse_group(doc, "")
-    rs = build_root_system(ctype)
-    rank = rs.rank
+    rank = ctype.rank
     raw_roots = _need(doc, "active_roots", "")
     if not isinstance(raw_roots, list):
         raise SchemaError("active_roots must be a list", "/active_roots")
-    pos = set(rs.pos_roots)
-    roots = []
     for k, r in enumerate(raw_roots):
         if (
             not isinstance(r, list)
@@ -250,10 +254,6 @@ def parse_solvable(doc: dict) -> SolvableDatum:
         ):
             raise SchemaError(f"root must have {rank} integer entries",
                               f"/active_roots/{k}")
-        rv = RootVec(tuple(r))
-        if rv not in pos:
-            raise SchemaError(f"{r} is not a positive root", f"/active_roots/{k}")
-        roots.append(rv)
     if "codomain" in doc or "iota" in doc:
         codomain = _parse_char_space(_need(doc, "codomain", ""), "/codomain")
         iota = _parse_iota(_need(doc, "iota", ""), rank, codomain.dim, "/iota")
@@ -265,6 +265,14 @@ def parse_solvable(doc: dict) -> SolvableDatum:
         iota = IntMatrix.from_rows(
             [[int(i == j) for j in range(rank)] for i in range(rank)]
         )
+    rs = build_root_system(ctype)
+    pos = set(rs.pos_roots)
+    roots = []
+    for k, r in enumerate(raw_roots):
+        rv = RootVec(tuple(r))
+        if rv not in pos:
+            raise SchemaError(f"{r} is not a positive root", f"/active_roots/{k}")
+        roots.append(rv)
     return SolvableDatum(rs=rs, active_roots=tuple(roots), codomain=codomain, iota=iota)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .errors import SchemaError
+
 __all__ = [
     "IntMatrix",
     "CharSpace",
@@ -66,14 +68,16 @@ class CharSpace:
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        assert all(m >= 2 for m in self.moduli)
+        if not all(m >= 2 for m in self.moduli):
+            raise SchemaError(f"moduli must be integers >= 2, got {self.moduli}")
 
     @property
     def dim(self) -> int:
         return self.free_rank + len(self.moduli)
 
     def reduce(self, coords: Sequence[int]) -> Vec:
-        assert len(coords) == self.dim, (len(coords), self.dim)
+        if len(coords) != self.dim:
+            raise SchemaError(f"character has {len(coords)} entries, space has {self.dim}")
         head = tuple(int(c) for c in coords[: self.free_rank])
         tail = tuple(int(c) % m for c, m in zip(coords[self.free_rank:], self.moduli))
         return head + tail
@@ -93,11 +97,13 @@ class CharVec:
         object.__setattr__(self, "coords", self.space.reduce(self.coords))
 
     def __add__(self, other: "CharVec") -> "CharVec":
-        assert self.space == other.space
+        if self.space != other.space:
+            raise SchemaError("characters of different spaces do not combine")
         return CharVec(self.space, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "CharVec") -> "CharVec":
-        assert self.space == other.space
+        if self.space != other.space:
+            raise SchemaError("characters of different spaces do not combine")
         return CharVec(self.space, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "CharVec":
@@ -210,7 +216,8 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def _augment_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     """Append one column m_i * e_i per torsion row (modulus >= 2)."""
-    assert len(moduli) == A.rows
+    if len(moduli) != A.rows:
+        raise SchemaError(f"{len(moduli)} moduli for {A.rows} rows")
     extra = [i for i, mmod in enumerate(moduli) if mmod != 0]
     rows = []
     for i, r in enumerate(A.entries):
@@ -248,7 +255,8 @@ def solve_with_moduli(
 
     Returns (particular, homogeneous_basis), or None when inconsistent.
     """
-    assert len(b) == A.rows
+    if len(b) != A.rows:
+        raise SchemaError(f"right-hand side has {len(b)} entries for {A.rows} rows")
     aug = _augment_with_moduli(A, moduli)
     U, D, V = smith_normal_form(aug)
     m, n = aug.rows, aug.cols

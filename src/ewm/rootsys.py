@@ -3,18 +3,18 @@
 Everything is exact: Cartan matrices are integer, the symmetrizer and the
 invariant inner product are `fractions.Fraction`.  Simple roots follow the
 Bourbaki labelling per factor, factors concatenated in input order.  Positive
-roots are generated by root-string closure, so one code path covers the
-exceptional types, and are ordered by (height, coordinates) for reproducible
+roots are generated one height at a time from the Cartan matrix alone, each
+root carrying its pairings and a_i-string depths, so one code path covers the
+exceptional types; they are ordered by (height, coordinates) for reproducible
 output.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidType, NegativeRootCoordinate
 
@@ -166,29 +166,31 @@ def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _positive_roots_closure(C: Sequence[Sequence[int]]) -> list[RootVec]:
-    """Generate all positive roots from the simple ones by root-string closure."""
+    """Positive roots, one height at a time, as plain tuples.
+
+    Each root beta of the current height carries its pairings <beta, a_i^vee>
+    and its string depths p_i (the largest k with beta - k a_i a root).  The
+    a_i-string through beta is unbroken and has p_i - q_i = <beta, a_i^vee>,
+    so beta + a_i is a root iff p_i > <beta, a_i^vee>; the new root's pairings
+    add column i of C and its p_i is beta's plus one.  Every root one height
+    down that reaches it sets one depth, and the rest stay 0.
+    """
     n = len(C)
-    simples = [RootVec(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-    known = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new: list[RootVec] = []
-        for beta in frontier:
+    cols = [tuple(row[i] for row in C) for i in range(n)]
+    level = {tuple(int(i == j) for j in range(n)): (cols[i], [0] * n) for i in range(n)}
+    roots: list[tuple[int, ...]] = []
+    while level:
+        roots.extend(sorted(level))
+        up: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
+        for beta, (pair, depth) in level.items():
             for i in range(n):
-                # <beta, alpha_i^vee> = (row i of C) . beta
-                pairing = sum(C[i][j] * beta.coeffs[j] for j in range(n))
-                p = 0
-                gamma = beta - simples[i]
-                while gamma in known:
-                    p += 1
-                    gamma = gamma - simples[i]
-                if p - pairing > 0:
-                    cand = beta + simples[i]
-                    if cand not in known:
-                        known.add(cand)
-                        new.append(cand)
-        frontier = new
-    return sorted(known, key=lambda r: (r.height, r.coeffs))
+                if depth[i] > pair[i]:
+                    gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if gamma not in up:
+                        up[gamma] = (tuple(a + b for a, b in zip(pair, cols[i])), [0] * n)
+                    up[gamma][1][i] = depth[i] + 1
+        level = up
+    return [RootVec(r) for r in roots]
 
 
 @functools.lru_cache(maxsize=None)

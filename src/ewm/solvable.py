@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Biweight, GeneralDatum
-from .errors import BijectionFailure, PiMapError
+from .errors import BijectionFailure, PiMapError, SchemaError
 from .intlin import CharSpace, CharVec, IntMatrix, mat_vec
 from .rootsys import RootSystem, RootVec, WeightVec, root_to_weight, supp
 
@@ -35,7 +35,8 @@ class SolvableDatum:
     def __post_init__(self):
         pos = set(self.rs.pos_roots)
         for r in self.active_roots:
-            assert r in pos, f"active root {r.coeffs} is not a positive root"
+            if r not in pos:
+                raise SchemaError(f"active root {r.coeffs} is not a positive root")
 
     @property
     def rank(self) -> int:
@@ -88,7 +89,8 @@ def pi_map(d: SolvableDatum) -> dict[RootVec, int]:
 def f_set(d: SolvableDatum, beta: RootVec) -> list[RootVec]:
     """The active root itself plus every active root subtractable from it."""
     pos = set(d.rs.pos_roots)
-    assert beta in set(d.active_roots)
+    if beta not in d.active_roots:
+        raise PiMapError(f"F({beta.coeffs}) is defined only for active roots")
     out = [beta]
     for gamma in d.active_roots:
         if gamma != beta and (beta - gamma) in pos:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ewm.cli import run
+import ewm.cli
+from ewm.cli import MAX_RANK, _parse_group, run
+from ewm.errors import SchemaError
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = DATA / "golden"
@@ -215,3 +217,36 @@ def test_exit_codes_hold_under_optimize(tmp_path):
                                "--input", str(path)], capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == ""
+
+
+def _no_root_system(ctype):
+    raise AssertionError(f"root system of {ctype} built before the document was checked")
+
+
+_A100 = [{"family": "A", "rank": 100}]
+
+
+@pytest.mark.parametrize(
+    "mode,doc,pointer",
+    [
+        ("roots", {"mode": "roots", "group": [{"family": "A", "rank": 129}]}, "/group"),
+        ("general", _doc_with("sl6.json", lambda d: d.update(group=_A100, iota=[[1]])),
+         "/iota"),
+        ("solvable", {"mode": "solvable", "group": _A100, "active_roots": [],
+                      "codomain": {"free_rank": 1}, "iota": [[1]]}, "/iota"),
+    ],
+    ids=["rank-cap", "general-iota-shape", "solvable-iota-shape"],
+)
+def test_rejected_before_root_system_is_built(mode, doc, pointer, monkeypatch, capsys):
+    monkeypatch.setattr(ewm.cli, "build_root_system", _no_root_system)
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
+    assert run([mode]) == 2
+    assert f"schema error at {pointer}:" in capsys.readouterr().err
+
+
+def test_rank_cap_is_on_total_rank():
+    assert _parse_group({"group": [{"family": "A", "rank": MAX_RANK}]}, "").rank == MAX_RANK
+    with pytest.raises(SchemaError) as e:
+        _parse_group({"group": [{"family": "A", "rank": MAX_RANK - 1},
+                                {"family": "G", "rank": 2}]}, "")
+    assert e.value.pointer == "/group"

@@ -3,6 +3,8 @@ lattice membership against a brute-force oracle, canonical bases."""
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,9 @@ from ewm.intlin import (
     smith_normal_form,
     solve_with_moduli,
 )
+from ewm.errors import PiMapError, SchemaError
+from ewm.rootsys import CartanType, RootVec, build_root_system
+from ewm.solvable import SolvableDatum, f_set
 
 
 def matmul(A, B):
@@ -241,6 +246,50 @@ def test_char_space_reduction():
     assert (-v).coords == (-3, 1, 1)
     assert v.scale(2).coords == (6, -2, 0)
     assert sp.zero().is_zero()
+
+
+def _sl3_solvable(*active):
+    return SolvableDatum(rs=build_root_system(CartanType((("A", 2),))),
+                         active_roots=tuple(RootVec(r) for r in active),
+                         codomain=CharSpace(2),
+                         iota=IntMatrix.from_rows([[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: CharSpace(1, (1,)), SchemaError),
+        (lambda: CharVec(CharSpace(2), (1,)), SchemaError),
+        (lambda: CharVec(CharSpace(2), (1, 1)) + CharVec(CharSpace(1, (2,)), (1, 1)),
+         SchemaError),
+        (lambda: CharVec(CharSpace(2), (1, 1)) - CharVec(CharSpace(1, (2,)), (1, 1)),
+         SchemaError),
+        (lambda: solve_with_moduli(IntMatrix.from_rows([[1, 2]]), [0, 0], [1]),
+         SchemaError),
+        (lambda: solve_with_moduli(IntMatrix.from_rows([[1, 2]]), [0], [1, 2]),
+         SchemaError),
+        (lambda: _sl3_solvable((1, 0), (1, -1)), SchemaError),
+        (lambda: f_set(_sl3_solvable((1, 0), (1, 1)), RootVec((0, 1))), PiMapError),
+    ],
+    ids=["modulus-1", "charvec-length", "add-across-spaces", "sub-across-spaces",
+         "moduli-length", "rhs-length", "active-not-positive", "f-set-inactive"],
+)
+def test_invariants_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_charvec_length_checked_under_optimize():
+    """The shape checks are typed errors, not asserts: `python -O` keeps them."""
+    code = ("from ewm.errors import SchemaError\n"
+            "from ewm.intlin import CharSpace, CharVec\n"
+            "try:\n"
+            "    CharVec(CharSpace(2), (1,))\n"
+            "except SchemaError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_snf_diagonal_matches_sympy_oracle():

@@ -53,16 +53,33 @@ def reflection_closure(rs):
     return {r for r in seen if all(c >= 0 for c in r)}
 
 
-@pytest.mark.parametrize("family,n", ALL_TYPES)
+@pytest.mark.parametrize(
+    "family,n", ALL_TYPES + [("A", 30), ("B", 20), ("C", 18), ("D", 22), ("A", 80)])
 def test_positive_root_count_closed_form(family, n):
     rs = build_root_system(CartanType(((family, n),)))
     assert len(rs.pos_roots) == positive_root_count(family, n)
 
 
-@pytest.mark.parametrize("family,n", [("A", 4), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2)])
-def test_positive_roots_match_reflection_oracle(family, n):
-    rs = build_root_system(CartanType(((family, n),)))
-    assert {r.coeffs for r in rs.pos_roots} == reflection_closure(rs)
+PRODUCT_TYPES = [
+    (("G", 2), ("B", 4), ("A", 1)),
+    (("E", 6), ("C", 3)),
+    (("F", 4), ("A", 2), ("G", 2)),
+    (("E", 8), ("A", 1)),
+    (("D", 5), ("B", 3), ("C", 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(t,) for t in ALL_TYPES] + PRODUCT_TYPES,
+    ids=[f"{f}-{n}" for f, n in ALL_TYPES]
+    + ["x".join(f"{f}{n}" for f, n in t) for t in PRODUCT_TYPES],
+)
+def test_positive_roots_match_reflection_oracle(factors):
+    """Same roots as the reflection orbit, in (height, coordinates) order."""
+    rs = build_root_system(CartanType(factors))
+    oracle = sorted(reflection_closure(rs), key=lambda r: (sum(r), r))
+    assert [r.coeffs for r in rs.pos_roots] == oracle
 
 
 @pytest.mark.parametrize("family,n", ALL_TYPES)
