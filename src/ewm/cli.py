@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import __version__
 from .core import (
@@ -23,15 +23,14 @@ from .core import (
     GeneralDatum,
     MonoidResult,
     NonUnique,
-    check_necessary,
     compute_xi1,
     compute_xi2,
     compute_monoid,
     kernel_iota,
     lambda_lattice,
+    necessary_reports,
     pi12,
     solve_xi3,
-    xi12_at,
 )
 from .errors import (
     BijectionFailure,
@@ -136,32 +135,39 @@ def _parse_char_space(raw: Any, pointer: str) -> CharSpace:
     )
 
 
+def _int_list(raw: Any, n: int, what: str, pointer: str) -> tuple[int, ...]:
+    if not isinstance(raw, list) or len(raw) != n or not all(_is_int(x) for x in raw):
+        raise SchemaError(f"{what} must have {n} integer entries", pointer)
+    return tuple(raw)
+
+
+def _index_key(key: str, rank: int, pointer: str) -> int:
+    """The 0-based index named by a sparse-map key: the canonical decimal
+    spelling of an integer in 1..rank, so no two keys name one index."""
+    if not (key.isascii() and key.isdigit() and key == str(int(key))
+            and 1 <= int(key) <= rank):
+        raise SchemaError(f"bad index {key!r}: expected a decimal in 1..{rank} "
+                          "without sign, spaces or leading zeros", pointer)
+    return int(key) - 1
+
+
 def _parse_weight(raw: Any, rank: int, pointer: str) -> WeightVec:
     """A weight as a dense coefficient array or a sparse {1-based index: coeff}."""
     if isinstance(raw, list):
-        if len(raw) != rank or not all(_is_int(x) for x in raw):
-            raise SchemaError(f"weight must have {rank} integer entries", pointer)
-        return WeightVec(tuple(raw))
+        return WeightVec(_int_list(raw, rank, "weight", pointer))
     if isinstance(raw, dict):
         coeffs = [0] * rank
         for k, v in raw.items():
-            try:
-                i = int(k)
-            except ValueError:
-                raise SchemaError(f"bad index {k!r}", pointer)
-            if not (1 <= i <= rank) or not _is_int(v):
-                raise SchemaError(f"index {k} out of range 1..{rank}", pointer)
-            coeffs[i - 1] = v
+            i = _index_key(k, rank, pointer)
+            if not _is_int(v):
+                raise SchemaError(f"coefficient at index {k} must be an integer", pointer)
+            coeffs[i] = v
         return WeightVec(tuple(coeffs))
     raise SchemaError("weight must be an array or an index map", pointer)
 
 
 def _parse_char(raw: Any, space: CharSpace, pointer: str) -> CharVec:
-    if not isinstance(raw, list) or len(raw) != space.dim:
-        raise SchemaError(f"character must have {space.dim} integer entries", pointer)
-    if not all(_is_int(x) for x in raw):
-        raise SchemaError("character entries must be integers", pointer)
-    return CharVec(space, tuple(raw))
+    return CharVec(space, _int_list(raw, space.dim, "character", pointer))
 
 
 def _parse_indices(raw: Any, rank: int, pointer: str) -> frozenset[int]:
@@ -195,16 +201,9 @@ def parse_general(doc: dict) -> GeneralDatum:
     raw_ob = _need(doc, "omega_bar", "")
     if not isinstance(raw_ob, dict):
         raise SchemaError("omega_bar must be an index map", "/omega_bar")
-    omega_bar = []
-    for k, v in raw_ob.items():
-        try:
-            i = int(k)
-        except ValueError:
-            raise SchemaError(f"bad index {k!r}", f"/omega_bar/{k}")
-        if not (1 <= i <= rank):
-            raise SchemaError(f"index {i} out of range", f"/omega_bar/{k}")
-        omega_bar.append((i - 1, _parse_char(v, space_K, f"/omega_bar/{k}")))
-    omega_bar.sort(key=lambda ic: ic[0])
+    omega_bar = sorted(
+        (_index_key(k, rank, f"/omega_bar/{k}"), _parse_char(v, space_K, f"/omega_bar/{k}"))
+        for k, v in raw_ob.items())
     xi2 = []
     for k, entry in enumerate(_list_field(doc, "xi2_prime")):
         lam = _parse_weight(_need(entry, "lambda_L", f"/xi2_prime/{k}"), rank,
@@ -246,39 +245,40 @@ def parse_solvable(doc: dict) -> SolvableDatum:
     raw_roots = _need(doc, "active_roots", "")
     if not isinstance(raw_roots, list):
         raise SchemaError("active_roots must be a list", "/active_roots")
-    for k, r in enumerate(raw_roots):
-        if (
-            not isinstance(r, list)
-            or len(r) != rank
-            or not all(_is_int(x) for x in r)
-        ):
-            raise SchemaError(f"root must have {rank} integer entries",
-                              f"/active_roots/{k}")
+    roots = [RootVec(_int_list(r, rank, "root", f"/active_roots/{k}"))
+             for k, r in enumerate(raw_roots)]
     if "codomain" in doc or "iota" in doc:
         codomain = _parse_char_space(_need(doc, "codomain", ""), "/codomain")
         iota = _parse_iota(_need(doc, "iota", ""), rank, codomain.dim, "/iota")
     else:
         # default: S = T, iota the identity on the weight lattice
-        codomain = CharSpace(
-            free_rank=rank, names=tuple(f"ϖ{i + 1}" for i in range(rank))
-        )
+        codomain = CharSpace(free_rank=rank, names=tuple(_labels("ϖ", rank)))
         iota = IntMatrix.from_rows(
             [[int(i == j) for j in range(rank)] for i in range(rank)]
         )
     rs = build_root_system(ctype)
     pos = set(rs.pos_roots)
-    roots = []
-    for k, r in enumerate(raw_roots):
-        rv = RootVec(tuple(r))
-        if rv not in pos:
-            raise SchemaError(f"{r} is not a positive root", f"/active_roots/{k}")
-        roots.append(rv)
+    for k, r in enumerate(roots):
+        if r not in pos:
+            raise SchemaError(f"{list(r.coeffs)} is not a positive root",
+                              f"/active_roots/{k}")
     return SolvableDatum(rs=rs, active_roots=tuple(roots), codomain=codomain, iota=iota)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a repeated key is an error, where `json.loads` alone
+    would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise SchemaError(f"duplicate key {dup!r}", "")
+    return obj
 
 
 def parse_input(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e}", "")
     if not isinstance(doc, dict):
@@ -293,65 +293,47 @@ def parse_input(text: str) -> dict:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _weight_json(w: WeightVec) -> list:
-    return list(w.coeffs)
-
-
-def _char_json(c: CharVec) -> list:
-    return list(c.coords)
-
-
 def _gen_json(bw: Biweight) -> dict:
+    return {"lambda": list(bw.lam.coeffs), "chi": list(bw.chi.coords), "origin": bw.origin}
+
+
+def _monoid_json(result: MonoidResult) -> dict:
     return {
-        "lambda": _weight_json(bw.lam),
-        "chi": _char_json(bw.chi),
-        "origin": bw.origin,
+        "generators": [_gen_json(b) for b in result.generators],
+        "lambda_basis": [list(b) for b in result.lambda_basis],
+        "sigma_used": [i + 1 for i in result.sigma_used],
+        "diagnostics": [
+            {
+                "severity": dg.severity,
+                "code": dg.code,
+                "message": dg.message,
+                "data": dict(dg.data),
+            }
+            for dg in result.diagnostics
+        ],
     }
 
 
-def _diag_json(diags) -> list:
-    return [
-        {
-            "severity": dg.severity,
-            "code": dg.code,
-            "message": dg.message,
-            "data": dict(dg.data),
-        }
-        for dg in diags
-    ]
+def _labels(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i + 1}" for i in range(n)]
 
 
-def _weight_text(w: WeightVec) -> str:
+def _terms(coeffs: Sequence[int], names: Sequence[str]) -> str:
+    """A signed sum such as `ϖ1 − 2ϖ3`, or `0`."""
     terms = []
-    for i, c in enumerate(w.coeffs):
+    for c, name in zip(coeffs, names):
         if c == 0:
             continue
+        sign = ("+ " if c > 0 else "− ") if terms else ("" if c > 0 else "−")
         mag = "" if abs(c) == 1 else str(abs(c))
-        term = f"{mag}ϖ{i + 1}"
-        if not terms:
-            terms.append(term if c > 0 else f"−{term}")
-        else:
-            terms.append(f"{'+' if c > 0 else '−'} {term}")
+        terms.append(f"{sign}{mag}{name}")
     return " ".join(terms) if terms else "0"
 
 
-def _char_text(c: CharVec) -> str:
-    names = c.space.names
-    terms = []
-    for i, v in enumerate(c.coords):
-        if v == 0:
-            continue
-        name = names[i] if names else f"e{i + 1}"
-        mag = "" if abs(v) == 1 else str(abs(v))
-        term = f"{mag}{name}"
-        if not terms:
-            terms.append(term if v > 0 else f"−{term}")
-        else:
-            terms.append(f"{'+' if v > 0 else '−'} {term}")
-    return " ".join(terms) if terms else "0"
-
-
-def emit_output(doc: dict, fmt: str) -> str:
+def emit_output(doc: dict, fmt: str, chi_names: Optional[Sequence[str]] = None) -> str:
+    """Render an output document.  Text mode writes each generator character
+    over `chi_names`, the coordinate names of its space (`e1`, `e2`, ... when
+    it has none)."""
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     lines = []
@@ -362,8 +344,8 @@ def emit_output(doc: dict, fmt: str) -> str:
     if "generators" in doc:
         lines.append(f"generators ({len(doc['generators'])}):")
         for g in doc["generators"]:
-            lam = _weight_text(WeightVec(tuple(g["lambda"])))
-            chi = g["_chi_text"]
+            lam = _terms(g["lambda"], _labels("ϖ", len(g["lambda"])))
+            chi = _terms(g["chi"], chi_names or _labels("e", len(g["chi"])))
             lines.append(f"  ({lam}, {chi})   [{g['origin']}]")
     if "nonunique" in doc:
         lines.append("solution family is not unique:")
@@ -382,7 +364,7 @@ def emit_output(doc: dict, fmt: str) -> str:
     if "lambda_basis" in doc:
         lines.append("weight lattice basis:")
         for b in doc["lambda_basis"]:
-            lines.append("  " + _weight_text(WeightVec(tuple(b))))
+            lines.append("  " + _terms(b, _labels("ϖ", len(b))))
     for dg in doc.get("diagnostics", []):
         lines.append(f"[{dg['severity']}] {dg['code']}: {dg['message']}")
     return "\n".join(lines) + "\n"
@@ -392,109 +374,85 @@ def emit_output(doc: dict, fmt: str) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _meta(text: str) -> dict:
-    return {
-        "tool": "ewm",
-        "version": __version__,
-        "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    }
+# What a subcommand returns: its exit code, its output document, and the
+# coordinate names of its generator characters for the text rendering.
+_Ran = tuple[int, dict, Optional[tuple[str, ...]]]
 
 
-def _run_general(doc: dict, text: str, allow_nonunique: bool) -> tuple[int, dict]:
+def _run_general(doc: dict, allow_nonunique: bool) -> _Ran:
     d = parse_general(doc)
-    xi1 = compute_xi1(d)
-    xi2 = compute_xi2(d)
     xi3 = solve_xi3(d)
-    if isinstance(xi3, NonUnique):
-        out = {
-            "generators": [dict(_gen_json(b), _chi_text=_char_text(b.chi))
-                           for b in xi1 + xi2],
-            "lambda_basis": [list(b) for b in lambda_lattice(d)],
-            "sigma_used": sorted(i + 1 for i in d.sigma_simple),
-            "nonunique": {
-                "entries": [
-                    {
-                        "mu": idx + 1,
-                        "particular": list(part),
-                        "homogeneous": [list(h) for h in hom],
-                    }
-                    for idx, part, hom in xi3.entries
-                ],
-                "xi12_size": xi3.xi12_size,
-            },
-            "diagnostics": [],
-            "meta": _meta(text),
-        }
-        return (0 if allow_nonunique else 4), out
-    result = compute_monoid(d)
-    out = {
-        "generators": [dict(_gen_json(b), _chi_text=_char_text(b.chi))
-                       for b in result.generators],
-        "lambda_basis": [list(b) for b in result.lambda_basis],
-        "sigma_used": [i + 1 for i in result.sigma_used],
-        "diagnostics": _diag_json(result.diagnostics),
-        "meta": _meta(text),
+    if not isinstance(xi3, NonUnique):
+        return 0, _monoid_json(compute_monoid(d)), d.char_space_K.names
+    out = _monoid_json(MonoidResult(
+        generators=tuple(compute_xi1(d) + compute_xi2(d)),
+        lambda_basis=tuple(lambda_lattice(d)),
+        sigma_used=tuple(sorted(d.sigma_simple)),
+        diagnostics=(),
+    ))
+    out["nonunique"] = {
+        "entries": [
+            {
+                "mu": idx + 1,
+                "particular": list(part),
+                "homogeneous": [list(h) for h in hom],
+            }
+            for idx, part, hom in xi3.entries
+        ],
+        "xi12_size": xi3.xi12_size,
     }
-    return 0, out
+    return (0 if allow_nonunique else 4), out, d.char_space_K.names
 
 
-def _run_solvable(doc: dict, text: str) -> tuple[int, dict]:
+def _run_solvable(doc: dict) -> _Ran:
     d = parse_solvable(doc)
     result = solvable_monoid(d)
     out = {
-        "generators": [dict(_gen_json(b), _chi_text=_char_text(b.chi))
-                       for b in result.generators],
+        "generators": [_gen_json(b) for b in result.generators],
         "pi_map": [
             {"root": list(r.coeffs), "simple": i + 1} for r, i in result.pi_map
         ],
         "phi": [list(c.coords) for c in result.phi],
         "sigma_used": [i + 1 for i in result.sigma],
         "diagnostics": [],
-        "meta": _meta(text),
     }
-    return 0, out
+    return 0, out, d.codomain.names
 
 
-def _run_roots(doc: dict, text: str) -> tuple[int, dict]:
+def _run_roots(doc: dict) -> _Ran:
     ctype = _parse_group(doc, "")
     rs = build_root_system(ctype)
     out = {
         "rank": rs.rank,
         "cartan": [list(r) for r in rs.cartan],
         "pos_roots": [list(r.coeffs) for r in rs.pos_roots],
-        "meta": _meta(text),
     }
-    return 0, out
+    return 0, out, None
 
 
-def _run_check(doc: dict, text: str) -> tuple[int, dict]:
+def _run_check(doc: dict) -> _Ran:
     """Validation-only run of the general pipeline: lattice, kernel, and the
     necessary-condition reports, without solving for the third family."""
     d = parse_general(doc)
     xi12 = compute_xi1(d) + compute_xi2(d)
-    reports = []
-    for a in sorted(pi12(xi12)):
-        if len(xi12_at(xi12, a)) != 1 or not d.xi3_prime:
-            continue
-        r = check_necessary(d, a)
-        reports.append(
-            {
-                "alpha": a + 1,
-                "classification": r.classification,
-                "in_lambda": r.in_lambda,
-                "rho_values": list(r.rho_values) if r.rho_values else None,
-                "asserted_spherical": a in d.sigma_simple,
-            }
-        )
+    reports = [
+        {
+            "alpha": r.alpha + 1,
+            "classification": r.classification,
+            "in_lambda": r.in_lambda,
+            "rho_values": list(r.rho_values) if r.rho_values else None,
+            "asserted_spherical": r.alpha in d.sigma_simple,
+        }
+        for r in necessary_reports(d, xi12)
+    ]
     out = {
         "pi12": sorted(a + 1 for a in pi12(xi12)),
         "kernel_iota": [list(b) for b in kernel_iota(d)],
         "lambda_basis": [list(b) for b in lambda_lattice(d)],
         "necessary": reports,
         "diagnostics": [],
-        "meta": _meta(text),
     }
-    return 0, out
+    return 0, out, None
 
 
 def run(argv: list[str]) -> int:
@@ -530,13 +488,13 @@ def run(argv: list[str]) -> int:
                 f"document mode {doc['mode']!r} does not match subcommand "
                 f"{args.mode!r}", "/mode")
         if args.mode == "general":
-            code, out = _run_general(doc, text, args.allow_nonunique)
+            code, out, chi_names = _run_general(doc, args.allow_nonunique)
         elif args.mode == "solvable":
-            code, out = _run_solvable(doc, text)
+            code, out, chi_names = _run_solvable(doc)
         elif args.mode == "roots":
-            code, out = _run_roots(doc, text)
+            code, out, chi_names = _run_roots(doc)
         else:
-            code, out = _run_check(doc, text)
+            code, out, chi_names = _run_check(doc)
     except SchemaError as e:
         print(f"schema error at {e.pointer or '/'}: {e}", file=sys.stderr)
         return 2
@@ -552,12 +510,12 @@ def run(argv: list[str]) -> int:
     ):
         code = max(code, 3)
 
-    if args.format == "json":
-        for g in out.get("generators", []):
-            g.pop("_chi_text", None)
-        sys.stdout.write(emit_output(out, "json"))
-    else:
-        sys.stdout.write(emit_output(out, "text"))
+    out["meta"] = {
+        "tool": "ewm",
+        "version": __version__,
+        "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }
+    sys.stdout.write(emit_output(out, args.format, chi_names))
     return code
 
 

@@ -9,7 +9,7 @@ translates to/from the 1-based labels used in input files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .chevalley import (
@@ -68,6 +68,7 @@ __all__ = [
     "delta_coeff",
     "solve_xi3",
     "compute_monoid",
+    "necessary_reports",
     "check_necessary",
     "check_sufficient_lie",
     "levi_kernel_helper",
@@ -204,32 +205,23 @@ def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
     """Basis of the preimage under iota of the span of the module weights."""
     if not d.xi3_prime:
         return kernel_iota(d)
-    mu_cols = [mu.coords for mu, _ in d.xi3_prime]
-    rows = []
-    for i, r in enumerate(d.iota.entries):
-        rows.append(tuple(r) + tuple(-col[i] for col in mu_cols))
-    joint = IntMatrix.from_rows(rows)
+    joint = IntMatrix.from_rows([r + tuple(-x for x in m)
+                                 for r, m in zip(d.iota.entries, _mu_columns(d).entries)])
     gens = [k[: d.rank] for k in kernel_with_moduli(joint, _codomain_moduli(d))]
     return hnf_rows(gens, d.rank)
 
 
-def _iota_of_simple_root(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
-    w = root_to_weight(d.rs, _root_basis_vec(d.rank, alpha))
-    return mat_vec(d.iota, w.coeffs)
-
-
-def _root_basis_vec(rank: int, i: int) -> RootVec:
-    return RootVec(tuple(1 if j == i else 0 for j in range(rank)))
+def _simple_root_weight(d: GeneralDatum, alpha: int) -> WeightVec:
+    return root_to_weight(d.rs, RootVec(tuple(1 if j == alpha else 0 for j in range(d.rank))))
 
 
 def _rho_vector(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
     """All functional values (rho_1(alpha), ..., rho_k(alpha)) at once."""
     lam = lambda_lattice(d)
-    w = root_to_weight(d.rs, _root_basis_vec(d.rank, alpha))
+    w = _simple_root_weight(d, alpha)
     if not in_sublattice(w.coeffs, lam, [0] * d.rank):
         raise AlphaNotInLambda(f"simple root {alpha + 1} outside the weight lattice")
-    target = _iota_of_simple_root(d, alpha)
-    sol = solve_with_moduli(_mu_columns(d), _codomain_moduli(d), target)
+    sol = solve_with_moduli(_mu_columns(d), _codomain_moduli(d), mat_vec(d.iota, w.coeffs))
     if sol is None:
         raise NoExpression(f"iota(alpha_{alpha + 1}) has no module-weight expression")
     particular, hom = sol
@@ -267,6 +259,24 @@ def mu_lift(d: GeneralDatum, mu_index: int) -> WeightVec:
     return WeightVec(sol[0])
 
 
+def _solve_xi12(xi12: Sequence[Biweight], p12: Sequence[int], rhs: Sequence[int]):
+    """Integer coefficients over Xi12 whose combined weight takes the values
+    rhs at the coupled simple roots p12: (particular, homogeneous basis), or
+    None when there are none."""
+    rows = [[bw.lam.coeffs[a] for bw in xi12] for a in p12]
+    return solve_with_moduli(IntMatrix.from_rows(rows), [0] * len(p12), rhs)
+
+
+def _combine(d: GeneralDatum, lam: WeightVec, coeffs: Sequence[int],
+             xi12: Sequence[Biweight]) -> tuple[WeightVec, CharVec]:
+    """(lam, 0) plus the given integer combination of the Xi12 generators."""
+    chi = d.char_space_K.zero()
+    for a, bw in zip(coeffs, xi12):
+        lam = lam + bw.lam.scale(a)
+        chi = chi + bw.chi.scale(a)
+    return lam, chi
+
+
 def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
     """Third family via the linear system: for each module weight mu, the
     coefficient of its generator at each fundamental weight in Pi12 is the
@@ -279,9 +289,8 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
     out: list[Biweight] = []
     for mu_index in range(len(d.xi3_prime)):
         lift = mu_lift(d, mu_index)
-        rows = [[bw.lam.coeffs[a] for bw in xi12] for a in p12]
         rhs = [delta_coeff(d, mu_index, a) - lift.coeffs[a] for a in p12]
-        sol = solve_with_moduli(IntMatrix.from_rows(rows), [0] * len(p12), rhs)
+        sol = _solve_xi12(xi12, p12, rhs)
         if sol is None:
             raise Inconsistent(
                 f"no integer solution for module weight {mu_index}: input data "
@@ -298,11 +307,7 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
                 (mu_index, tuple(particular), tuple(tuple(h) for h in hom))
             )
             continue
-        lam = lift
-        chi = d.char_space_K.zero()
-        for a, bw in zip(particular, xi12):
-            lam = lam + bw.lam.scale(a)
-            chi = chi + bw.chi.scale(a)
+        lam, chi = _combine(d, lift, particular, xi12)
         gen = Biweight(lam, chi, "Xi3")
         for a in p12:
             if lam.coeffs[a] != delta_coeff(d, mu_index, a):
@@ -316,15 +321,19 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
     return out
 
 
+def necessary_reports(d: GeneralDatum, xi12: Sequence[Biweight]) -> list[NecessaryReport]:
+    """The necessary test at each coupled simple root met by exactly one Xi12
+    weight, in increasing order; there are none without module weights."""
+    if not d.xi3_prime:
+        return []
+    return [check_necessary(d, a) for a in sorted(pi12(xi12))
+            if len(xi12_at(xi12, a)) == 1]
+
+
 def _necessary_diagnostics(d: GeneralDatum, xi12: Sequence[Biweight]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    if not d.xi3_prime:
-        return diags
-    p12 = pi12(xi12)
-    for a in sorted(p12):
-        if len(xi12_at(xi12, a)) != 1:
-            continue
-        report = check_necessary(d, a)
+    for report in necessary_reports(d, xi12):
+        a = report.alpha
         if report.passed and a not in d.sigma_simple:
             diags.append(
                 Diagnostic(
@@ -354,18 +363,10 @@ def lift_shift(d: GeneralDatum, kernel_vec: Sequence[int]):
     roots, so the shift is the same for every module weight."""
     xi12 = compute_xi1(d) + compute_xi2(d)
     p12 = sorted(pi12(xi12))
-    rows = [[bw.lam.coeffs[a] for bw in xi12] for a in p12]
-    rhs = [-kernel_vec[a] for a in p12]
-    sol = solve_with_moduli(IntMatrix.from_rows(rows), [0] * len(p12), rhs)
+    sol = _solve_xi12(xi12, p12, [-kernel_vec[a] for a in p12])
     if sol is None:
         return None
-    delta_a = sol[0]
-    lam = WeightVec(tuple(kernel_vec))
-    chi = d.char_space_K.zero()
-    for a, bw in zip(delta_a, xi12):
-        lam = lam + bw.lam.scale(a)
-        chi = chi + bw.chi.scale(a)
-    return lam, chi
+    return _combine(d, WeightVec(tuple(kernel_vec)), sol[0], xi12)
 
 
 def _lift_sensitivity_diagnostics(d: GeneralDatum) -> list[Diagnostic]:
@@ -471,7 +472,7 @@ def levi_kernel_helper(
     those characters in the cocharacter lattice (simple-coroot coordinates)."""
     pi_M = set()
     for a in sorted(d.pi_L):
-        alpha_w = root_to_weight(d.rs, _root_basis_vec(d.rank, a))
+        alpha_w = _simple_root_weight(d, a)
         if all(inner(d.rs, alpha_w, lam) == 0 for lam in lambda_L_basis):
             pi_M.add(a)
     if not lambda_L_basis:

@@ -6,7 +6,6 @@ form for the free generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import Biweight, GeneralDatum
 from .errors import BijectionFailure, PiMapError, SchemaError
@@ -125,6 +124,15 @@ def _iota_root_char(d: SolvableDatum, r: RootVec) -> CharVec:
     return _iota_char(d, root_to_weight(d.rs, r))
 
 
+def _fibers(d: SolvableDatum) -> dict[CharVec, list[RootVec]]:
+    """The active roots grouped by restriction value, keyed in first-seen
+    order."""
+    fibers: dict[CharVec, list[RootVec]] = {}
+    for alpha in d.active_roots:
+        fibers.setdefault(_iota_root_char(d, alpha), []).append(alpha)
+    return fibers
+
+
 def solvable_monoid(d: SolvableDatum) -> SolvableResult:
     """Closed-form free generators: one per fundamental weight, plus one per
     distinct restriction value of an active root."""
@@ -134,27 +142,19 @@ def solvable_monoid(d: SolvableDatum) -> SolvableResult:
             f"F-set bijectivity fails for {[b.coeffs for b in bad]}"
         )
     pm = pi_map(d)
-    phi: list[CharVec] = []
-    fibers: list[list[RootVec]] = []
-    for alpha in d.active_roots:
-        val = _iota_root_char(d, alpha)
-        if val in phi:
-            fibers[phi.index(val)].append(alpha)
-        else:
-            phi.append(val)
-            fibers.append([alpha])
+    fibers = _fibers(d)
     rank = d.rank
     gens: list[Biweight] = []
     for i in range(rank):
         w = WeightVec(tuple(1 if j == i else 0 for j in range(rank)))
         gens.append(Biweight(w, -_iota_char(d, w), "Xi1"))
-    for val, fiber in zip(phi, fibers):
+    for val, fiber in fibers.items():
         indices = sorted({pm[alpha] for alpha in fiber})
         lam = WeightVec(tuple(1 if j in indices else 0 for j in range(rank)))
         gens.append(Biweight(lam, -_iota_char(d, lam) + val, "Xi3"))
     return SolvableResult(
         pi_map=tuple(sorted(pm.items(), key=lambda kv: kv[0].coeffs)),
-        phi=tuple(phi),
+        phi=tuple(fibers),
         generators=tuple(gens),
         sigma=tuple(sorted(solvable_sigma(d))),
     )
@@ -168,11 +168,6 @@ def to_general(d: SolvableDatum) -> GeneralDatum:
         (i, _iota_char(d, WeightVec(tuple(1 if j == i else 0 for j in range(rank)))))
         for i in range(rank)
     )
-    phi: list[CharVec] = []
-    for alpha in d.active_roots:
-        val = _iota_root_char(d, alpha)
-        if val not in phi:
-            phi.append(val)
     return GeneralDatum(
         rs=d.rs,
         pi_L=frozenset(),
@@ -181,7 +176,7 @@ def to_general(d: SolvableDatum) -> GeneralDatum:
         codomain=d.codomain,
         iota=d.iota,
         xi2_prime=(),
-        xi3_prime=tuple((v, None) for v in phi),
+        xi3_prime=tuple((v, None) for v in _fibers(d)),
         sigma_simple=frozenset(solvable_sigma(d)),
         unique_expected=True,
     )

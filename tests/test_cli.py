@@ -46,6 +46,46 @@ def test_golden_outputs(args, golden):
     assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+def _run_in_process(args, monkeypatch, capsys, stdin=None):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", StringIO(stdin))
+    code = run(args)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args,golden,code",
+    [
+        (["general", "--input", str(DATA / "sl6.json")], "sl6.general.txt", 0),
+        (["general", "--input", str(DATA / "so7.json")], "so7.general.txt", 0),
+        (["general", "--input", str(DATA / "sl3_parabolic.json"), "--allow-nonunique"],
+         "sl3_parabolic.general.txt", 0),
+        (["general", "--input", str(DATA / "sl3_parabolic.json")],
+         "sl3_parabolic.general.txt", 4),
+        (["solvable", "--input", str(DATA / "sl3_solvable.json")],
+         "sl3_solvable.solvable.txt", 0),
+        (["solvable", "--input", str(DATA / "n0.json")], "n0.solvable.txt", 0),
+        (["roots", "--input", str(DATA / "b3_roots.json")], "b3.roots.txt", 0),
+        (["check", "--input", str(DATA / "so7.json")], "so7.check.txt", 0),
+    ],
+)
+def test_text_golden_outputs(args, golden, code, monkeypatch, capsys):
+    got = _run_in_process(args + ["--format", "text"], monkeypatch, capsys)
+    assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [("so7", 3), ("sl6", 0)],
+)
+def test_strict_turns_warnings_into_exit_3(name, code, monkeypatch, capsys):
+    """so7 carries a LIFT_SENSITIVE warning, sl6 none; the output is the
+    same document either way."""
+    got = _run_in_process(["general", "--strict", "--input", str(DATA / f"{name}.json")],
+                          monkeypatch, capsys)
+    assert got == (code, (GOLDEN / f"{name}.general.json").read_text(encoding="utf-8"))
+
+
 def test_byte_determinism():
     a = run_cli(["general", "--input", str(DATA / "sl6.json")])
     b = run_cli(["general", "--input", str(DATA / "sl6.json")])
@@ -187,14 +227,43 @@ def _empty_xi2(d):
         ("so7.json", lambda d: d.update(sigma_simple=[True]), "/sigma_simple"),
         ("so7.json", lambda d: d.update(xi3_prime=5), "/xi3_prime"),
         ("sl6.json", _nondominant_lambda_L, "/xi2_prime/0/lambda_L"),
+        ("so7.json", lambda d: d["omega_bar"].update({"01": [9, 9]}), "/omega_bar/01"),
+        ("so7.json", lambda d: d["omega_bar"].update({" 1 ": [9, 9]}), "/omega_bar/ 1 "),
+        ("so7.json", lambda d: d["omega_bar"].update({"0_2": [9, 9]}), "/omega_bar/0_2"),
+        ("so7.json", lambda d: d["omega_bar"].update({"\u0661": [9, 9]}),
+         "/omega_bar/\u0661"),
+        ("sl6.json", lambda d: d["xi2_prime"][0]["lambda_L"].update({"04": 0}),
+         "/xi2_prime/0/lambda_L"),
+        ("so7.json", lambda d: d["xi3_prime"][1]["lift"].update({"+1": 3}),
+         "/xi3_prime/1/lift"),
     ],
     ids=["group-int", "rank-bool", "omega-bar-key", "moduli-int", "names-int",
-         "names-short", "sigma-bool", "xi3-int", "lambda-L-nondominant"],
+         "names-short", "sigma-bool", "xi3-int", "lambda-L-nondominant",
+         "omega-bar-leading-zero", "omega-bar-spaces", "omega-bar-underscore",
+         "omega-bar-non-ascii-digit", "lambda-L-leading-zero", "lift-plus-sign"],
 )
 def test_malformed_document_exits_2_with_pointer(base, edit, pointer, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(_doc_with(base, edit))))
     assert run(["general"]) == 2
     assert f"schema error at {pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ('"sigma_simple": [3],', '"sigma_simple": [3], "sigma_simple": [],', "sigma_simple"),
+        ('"1": [1, 0],', '"1": [1, 0], "1": [9, 9],', "1"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_duplicate_object_key_exits_2(old, new, key, monkeypatch, capsys):
+    """Raw text, since a dict cannot hold the duplicate: `json.loads` alone
+    would keep the last value."""
+    text = (DATA / "so7.json").read_text(encoding="utf-8")
+    assert old in text
+    monkeypatch.setattr(sys, "stdin", StringIO(text.replace(old, new)))
+    assert run(["general"]) == 2
+    assert f"duplicate key {key!r}" in capsys.readouterr().err
 
 
 def test_nondominant_third_family_exits_3(monkeypatch, capsys):
