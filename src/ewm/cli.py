@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -330,12 +331,53 @@ def _terms(coeffs: Sequence[int], names: Sequence[str]) -> str:
     return " ".join(terms) if terms else "0"
 
 
+# With `indent` set, `json.dumps` runs CPython's pure-Python encoder; the
+# compact encoder below is the C one, used on whole int lists and matrices.
+_compact = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+
+
+def _json(v: Any, ind: str) -> str:
+    """`v` as `json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True)`
+    writes it when nested at indent `ind`.  Dict keys must be strings."""
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = ind + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = (f"{inner}{json.encoder.encode_basestring_ascii(k)}: {_json(x, inner)}"
+                 for k, x in sorted(v.items()))
+        return "{\n" + ",\n".join(items) + "\n" + ind + "}"
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    if not v:
+        return "[]"
+    types = set(map(type, v))
+    if types == {int}:
+        body = _compact(v)[1:-1].replace(",", ",\n" + inner)
+        return f"[\n{inner}{body}\n{ind}]"
+    if (types <= {list, tuple} and all(v)
+            and set(map(type, itertools.chain.from_iterable(v))) == {int}):
+        deep = inner + "  "
+        body = _compact(v)[2:-2].replace(",", ",\n" + deep).replace(
+            "],\n" + deep + "[", f"\n{inner}],\n{inner}[\n{deep}")
+        return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{ind}]"
+    return "[\n" + ",\n".join(inner + _json(x, inner) for x in v) + "\n" + ind + "]"
+
+
 def emit_output(doc: dict, fmt: str, chi_names: Optional[Sequence[str]] = None) -> str:
-    """Render an output document.  Text mode writes each generator character
-    over `chi_names`, the coordinate names of its space (`e1`, `e2`, ... when
-    it has none)."""
+    """Render an output document.  JSON mode writes the same bytes as
+    `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)` plus a
+    newline.  Text mode writes each generator character over `chi_names`, the
+    coordinate names of its space (`e1`, `e2`, ... when it has none)."""
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        return _json(doc, "") + "\n"
     lines = []
     if "pos_roots" in doc:
         lines.append(f"positive roots ({len(doc['pos_roots'])}):")
@@ -475,8 +517,13 @@ def run(argv: list[str]) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
+        # Stdin may carry undecodable bytes as surrogates; they fail here.
+        input_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
     except OSError as e:
         print(f"error: cannot read input: {e}", file=sys.stderr)
+        return 2
+    except UnicodeError as e:
+        print(f"schema error at /: input is not UTF-8: {e}", file=sys.stderr)
         return 2
 
     try:
@@ -513,7 +560,7 @@ def run(argv: list[str]) -> int:
     out["meta"] = {
         "tool": "ewm",
         "version": __version__,
-        "input_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "input_sha256": input_sha256,
     }
     sys.stdout.write(emit_output(out, args.format, chi_names))
     return code

@@ -251,11 +251,11 @@ def mu_lift(d: GeneralDatum, mu_index: int) -> WeightVec:
     if override is not None:
         got = mat_vec(d.iota, override.coeffs)
         if d.codomain.reduce(got) != mu.coords:
-            raise NoLift(f"supplied lift for module weight {mu_index} is not a lift")
+            raise NoLift(f"supplied lift for module weight {mu_index + 1} is not a lift")
         return override
     sol = solve_with_moduli(d.iota, _codomain_moduli(d), mu.coords)
     if sol is None:
-        raise NoLift(f"module weight {mu_index} outside the image of iota")
+        raise NoLift(f"module weight {mu_index + 1} outside the image of iota")
     return WeightVec(sol[0])
 
 
@@ -293,14 +293,14 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
         sol = _solve_xi12(xi12, p12, rhs)
         if sol is None:
             raise Inconsistent(
-                f"no integer solution for module weight {mu_index}: input data "
+                f"no integer solution for module weight {mu_index + 1}: input data "
                 "contradicts the generation theorem"
             )
         particular, hom = sol
         if hom:
             if d.unique_expected:
                 raise UniquenessViolated(
-                    f"solution family for module weight {mu_index} is "
+                    f"solution family for module weight {mu_index + 1} is "
                     "positive-dimensional"
                 )
             nonunique_entries.append(
@@ -312,7 +312,7 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
         for a in p12:
             if lam.coeffs[a] != delta_coeff(d, mu_index, a):
                 raise Inconsistent(
-                    f"third-family weight for module weight {mu_index} misses its "
+                    f"third-family weight for module weight {mu_index + 1} misses its "
                     f"prescribed coefficient at alpha_{a + 1}"
                 )
         out.append(gen)

@@ -1,4 +1,4 @@
-"""CLI front end: golden files, exit codes, determinism, text rendering."""
+"""CLI front end: golden files, exit codes, determinism, text and JSON rendering."""
 
 import json
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ewm.cli
-from ewm.cli import MAX_RANK, _parse_group, run
+from ewm.cli import MAX_RANK, _parse_group, emit_output, run
 from ewm.errors import SchemaError
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -319,3 +319,95 @@ def test_rank_cap_is_on_total_rank():
         _parse_group({"group": [{"family": "A", "rank": MAX_RANK - 1},
                                 {"family": "G", "rank": 2}]}, "")
     assert e.value.pointer == "/group"
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_golden_json_rerenders_to_its_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    assert emit_output(json.loads(text), "json") == text
+
+
+@pytest.mark.parametrize(
+    "group",
+    [[("A", 28), ("A", 1)], [("E", 8), ("A", 16)], [("D", 22), ("A", 2)]],
+    ids=["A28xA1", "E8xA16", "D22xA2"],
+)
+def test_roots_output_is_json_dumps(group, monkeypatch, capsys):
+    doc = {"mode": "roots", "group": [{"family": f, "rank": n} for f, n in group]}
+    code, out = _run_in_process(["roots"], monkeypatch, capsys, stdin=json.dumps(doc))
+    assert code == 0
+    # Lists of lines, so that a failure's diff stays cheap on ~100k lines.
+    assert out.splitlines(True) == _dumps(json.loads(out)).splitlines(True)
+
+
+def test_renderer_matches_json_dumps_on_random_documents():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(min_value=-2**80, max_value=2**80)
+    text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028ϖ'),
+                             st.characters()), max_size=6)
+    int_lists = st.lists(ints, max_size=5)
+    rows = st.one_of(int_lists, int_lists.map(tuple),
+                     st.lists(st.one_of(ints, st.booleans()), max_size=5))
+    leaves = st.one_of(st.none(), st.booleans(), ints, text, rows, st.lists(rows, max_size=4))
+    docs = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(text, inner, max_size=4)), max_leaves=12)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(doc=docs)
+    def check(doc):
+        assert emit_output(doc, "json") == _dumps(doc)
+
+    check()
+
+
+@pytest.mark.parametrize("doc", [{"x": 0.5}, [1, 0.5], [[1, 2.0]], {"x": {1, 2}}],
+                         ids=["float", "float-in-int-list", "float-in-matrix", "set"])
+def test_renderer_rejects_non_json_types(doc):
+    with pytest.raises(TypeError):
+        emit_output(doc, "json")
+
+
+_NOT_UTF8 = b'{"mode": "roots", "group": [{"family": "B", "rank": 3}], "note": "\xff"}'
+
+
+@pytest.mark.parametrize("flags", [[], ["-X", "utf8"]], ids=["default", "utf8-mode"])
+def test_non_utf8_input_exits_2(flags, tmp_path):
+    """From a file the read fails; on stdin the byte may arrive as a
+    surrogate, which fails when the input is hashed.  Neither is a traceback."""
+    path = tmp_path / "roots.json"
+    path.write_bytes(_NOT_UTF8)
+    cmd = [sys.executable, *flags, "-m", "ewm.cli", "roots"]
+    for proc in (subprocess.run(cmd + ["--input", str(path)], capture_output=True),
+                 subprocess.run(cmd, input=_NOT_UTF8, capture_output=True)):
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"schema error at /:")
+        assert b"Traceback" not in proc.stderr
+
+
+def _lift_not_a_lift(d):
+    d["xi3_prime"][0]["lift"] = [0, 0]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_lift_not_a_lift, "supplied lift for module weight 1 is not a lift"),
+        (lambda d: d.update(unique_expected=True),
+         "solution family for module weight 1 is positive-dimensional"),
+    ],
+    ids=["bad-lift", "unique-expected"],
+)
+def test_module_weights_are_named_1_based(edit, message, monkeypatch, capsys):
+    """Like the `mu` of a `nonunique` entry, error messages count module
+    weights from 1."""
+    doc = _doc_with("sl3_parabolic.json", edit)
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
+    assert run(["general"]) == 3
+    assert f"inconsistent input: {message}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Source-level invariants of the library, read from its syntax trees: it
-imports nothing outside the standard library, and it states no invariant as an
-`assert`, which `python -O` would strip."""
+imports nothing outside the standard library, it states no invariant as an
+`assert`, which `python -O` would strip, and it never asks `json` for indented
+output, which CPython writes with its pure-Python encoder."""
 
 import ast
 import sys
@@ -37,3 +38,12 @@ def test_imports_are_package_relative_or_stdlib(path):
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_indented_json_dumps(path):
+    calls = [n.lineno for n in ast.walk(_tree(path))
+             if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", getattr(n.func, "id", None)) in ("dump", "dumps")
+             and any(k.arg == "indent" for k in n.keywords)]
+    assert calls == []
