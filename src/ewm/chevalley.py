@@ -22,7 +22,6 @@ __all__ = [
     "build_algebra",
     "bracket",
     "root_vector",
-    "cartan_vector",
     "ideal_closure",
     "is_contained",
     "commutes_with_all",
@@ -116,9 +115,8 @@ def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
     """Fill the positive-pair structure-constant table by height recursion."""
     pos = [r.coeffs for r in rs.pos_roots]  # already (height, lex) sorted
     n = rs.rank
-    sym = [int(x) for x in rs.sym]  # the symmetrizer is integral
     norm2 = {
-        r: sum(r[i] * sym[i] * rs.cartan[i][j] * r[j] for i in range(n) for j in range(n))
+        r: sum(r[i] * rs.sym[i] * rs.cartan[i][j] * r[j] for i in range(n) for j in range(n))
         for r in pos
     }
     table: dict[tuple[Root, Root], int] = {}
@@ -158,10 +156,6 @@ def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
 
 def root_vector(alg: ChevalleyAlgebra, r: Sequence[int]) -> AlgVec:
     return AlgVec.make({("e", tuple(r)): Fraction(1)})
-
-
-def cartan_vector(alg: ChevalleyAlgebra, i: int) -> AlgVec:
-    return AlgVec.make({("h", i): Fraction(1)})
 
 
 def _bracket_basis(alg: ChevalleyAlgebra, a: Key, b: Key) -> dict:

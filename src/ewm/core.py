@@ -44,7 +44,6 @@ from .rootsys import (
     RootSystem,
     RootVec,
     WeightVec,
-    inner,
     is_dominant,
     root_to_weight,
     wsupp,
@@ -469,12 +468,12 @@ def levi_kernel_helper(
     d: GeneralDatum, lambda_L_basis: Sequence[WeightVec]
 ) -> tuple[set[int], list[tuple[int, ...]]]:
     """The sub-Levi orthogonal to a character basis, and the common kernel of
-    those characters in the cocharacter lattice (simple-coroot coordinates)."""
-    pi_M = set()
-    for a in sorted(d.pi_L):
-        alpha_w = _simple_root_weight(d, a)
-        if all(inner(d.rs, alpha_w, lam) == 0 for lam in lambda_L_basis):
-            pi_M.add(a)
+    those characters in the cocharacter lattice (simple-coroot coordinates).
+
+    Against a simple root the invariant form needs no basis change:
+    (pi_i, alpha_a) = delta_ia d_a, so (alpha_a, lam) = d_a lam_a."""
+    # d_a > 0, so alpha_a is orthogonal to lam exactly when lam_a = 0
+    pi_M = {a for a in d.pi_L if all(lam.coeffs[a] == 0 for lam in lambda_L_basis)}
     if not lambda_L_basis:
         return pi_M, [
             tuple(1 if j == i else 0 for j in range(d.rank)) for i in range(d.rank)

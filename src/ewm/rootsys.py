@@ -1,19 +1,18 @@
 """Root-system combinatorics for simple types A-G and products thereof.
 
-Everything is exact: Cartan matrices are integer, the symmetrizer and the
-invariant inner product are `fractions.Fraction`.  Simple roots follow the
-Bourbaki labelling per factor, factors concatenated in input order.  Positive
-roots are generated one height at a time from the Cartan matrix alone, each
-root carrying its pairings and a_i-string depths, so one code path covers the
-exceptional types; they are ordered by (height, coordinates) for reproducible
-output.
+Everything is integral: the Cartan matrix, and the symmetrizer
+d_i = (a_i, a_i)/2 with the short roots of each factor of squared length 2.
+Simple roots follow the Bourbaki labelling per factor, factors concatenated in
+input order.  Positive roots are generated one height at a time from the
+Cartan matrix alone, each root carrying its pairings and a_i-string depths, so
+one code path covers the exceptional types; they are ordered by (height,
+coordinates) for reproducible output.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidType, NegativeRootCoordinate
@@ -25,11 +24,9 @@ __all__ = [
     "WeightVec",
     "build_root_system",
     "root_to_weight",
-    "weight_to_root",
     "supp",
     "wsupp",
     "is_dominant",
-    "inner",
     "positive_root_count",
 ]
 
@@ -105,7 +102,7 @@ class WeightVec:
 class RootSystem:
     ctype: CartanType
     cartan: tuple[tuple[int, ...], ...]
-    sym: tuple[Fraction, ...]
+    sym: tuple[int, ...]
     pos_roots: tuple[RootVec, ...]
 
     @property
@@ -198,14 +195,14 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     """Assemble Cartan matrix, symmetrizer and positive roots for a product type."""
     rank = ctype.rank
     C = [[0] * rank for _ in range(rank)]
-    d: list[Fraction] = []
+    d: list[int] = []
     offset = 0
     for fam, n in ctype.factors:
         Cf, df = _simple_cartan(fam, n)
         for i in range(n):
             for j in range(n):
                 C[offset + i][offset + j] = Cf[i][j]
-        d.extend(Fraction(x) for x in df)
+        d.extend(df)
         offset += n
     pos = _positive_roots_closure(C)
     return RootSystem(
@@ -223,24 +220,6 @@ def root_to_weight(rs: RootSystem, r: RootVec) -> WeightVec:
     return WeightVec(tuple(sum(C[i][j] * r.coeffs[j] for j in range(n)) for i in range(n)))
 
 
-def weight_to_root(rs: RootSystem, w: WeightVec) -> tuple[Fraction, ...]:
-    """Exact rational solution of C.x = w (C is invertible for semisimple types)."""
-    n = rs.rank
-    # Gaussian elimination over Fraction on an augmented copy.
-    M = [[Fraction(rs.cartan[i][j]) for j in range(n)] + [Fraction(w.coeffs[i])]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return tuple(M[i][n] for i in range(n))
-
-
 def supp(r: RootVec) -> frozenset[int]:
     """Indices of strictly positive coordinates; rejects mixed-sign input."""
     if any(c < 0 for c in r.coeffs):
@@ -254,24 +233,6 @@ def wsupp(w: WeightVec) -> frozenset[int]:
 
 def is_dominant(w: WeightVec) -> bool:
     return all(c >= 0 for c in w.coeffs)
-
-
-def inner(rs: RootSystem, a: WeightVec, b: WeightVec) -> Fraction:
-    """Weyl-invariant inner product, short roots of each factor of length^2 = 2.
-
-    Computed via the root basis: (a, b) = x^T B y with B[i][j] = d_i C[i][j]
-    and x, y the root-basis coordinate vectors.
-    """
-    n = rs.rank
-    x = weight_to_root(rs, a)
-    y = weight_to_root(rs, b)
-    total = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            cij = rs.cartan[i][j]
-            if cij:
-                total += x[i] * rs.sym[i] * cij * y[j]
-    return total
 
 
 def positive_root_count(family: str, n: int) -> int:

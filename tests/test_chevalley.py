@@ -13,7 +13,6 @@ from ewm.chevalley import (
     _bracket_basis,
     bracket,
     build_algebra,
-    cartan_vector,
     commutes_with_all,
     ideal_closure,
     is_contained,

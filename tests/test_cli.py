@@ -196,6 +196,18 @@ def test_check_mode_reports():
     assert reports[3]["asserted_spherical"] is True
 
 
+def test_check_text_shows_intermediates(monkeypatch, capsys):
+    """The text rendering of `check` carries what the JSON document does: the
+    simple roots met by the first two families, and each basis row of the
+    kernel of iota over the fundamental weights."""
+    code, out = _run_in_process(["check", "--input", str(DATA / "so7.json"),
+                                 "--format", "text"], monkeypatch, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "pi12 (simple roots met by Xi1 and Xi2): alpha_1, alpha_3" in lines
+    assert lines[lines.index("kernel of iota basis:") + 1] == "  2ϖ1 − 2ϖ3"
+
+
 def test_unknown_mode_rejected():
     proc = run_cli(["roots"], stdin='{"mode": "nonsense"}')
     assert proc.returncode == 2
@@ -236,11 +248,15 @@ def _empty_xi2(d):
          "/xi2_prime/0/lambda_L"),
         ("so7.json", lambda d: d["xi3_prime"][1]["lift"].update({"+1": 3}),
          "/xi3_prime/1/lift"),
+        ("so7.json", lambda d: d["omega_bar"].pop("3"), "/omega_bar/3"),
+        ("sl6.json", lambda d: d["xi2_prime"][0].update(lambda_L=[0, 0, 1, 0, 0]),
+         "/xi2_prime/0/lambda_L"),
     ],
     ids=["group-int", "rank-bool", "omega-bar-key", "moduli-int", "names-int",
          "names-short", "sigma-bool", "xi3-int", "lambda-L-nondominant",
          "omega-bar-leading-zero", "omega-bar-spaces", "omega-bar-underscore",
-         "omega-bar-non-ascii-digit", "lambda-L-leading-zero", "lift-plus-sign"],
+         "omega-bar-non-ascii-digit", "lambda-L-leading-zero", "lift-plus-sign",
+         "omega-bar-missing", "lambda-L-outside-levi"],
 )
 def test_malformed_document_exits_2_with_pointer(base, edit, pointer, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(_doc_with(base, edit))))

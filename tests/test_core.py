@@ -363,3 +363,35 @@ class TestLeviKernelHelper:
         pi_M, torus = levi_kernel_helper(sl6, basis)
         assert pi_M == set()
         assert torus == []
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(("B", 3),), (("C", 3),), (("F", 4),), (("G", 2),), (("G", 2), ("B", 3), ("A", 1))],
+        ids=["B3", "C3", "F4", "G2", "G2xB3xA1"],
+    )
+    def test_matches_invariant_form(self, factors):
+        """pi_M against the invariant form evaluated independently, on types
+        where some d_a != 1: a weight goes to root coordinates through the
+        exact inverse of the Cartan matrix, and the simple roots have Gram
+        matrix B[i][j] = d_i C[i][j], so (alpha_a, .) is row a of B C^-1."""
+        sympy = pytest.importorskip("sympy")
+        rs = build_root_system(CartanType(factors))
+        n = rs.rank
+        gram = sympy.Matrix(n, n, lambda i, j: rs.sym[i] * rs.cartan[i][j])
+        form = (gram * sympy.Matrix(rs.cartan).inv()).tolist()
+        rng = random.Random(f"levi-{factors}")
+        proper = nondominant = 0
+        for _ in range(40):
+            pi_L = frozenset(i for i in range(n) if rng.random() < 0.7)
+            d = GeneralDatum(rs=rs, pi_L=pi_L, char_space_K=CharSpace(0), omega_bar=(),
+                             codomain=CharSpace(1), iota=IntMatrix.from_rows([[0] * n]),
+                             xi2_prime=(), xi3_prime=(), sigma_simple=frozenset())
+            basis = [WeightVec(tuple(rng.choice([0, 0, 0, 1, 2, -1, -3]) for _ in range(n)))
+                     for _ in range(rng.randint(1, 3))]
+            expected = {a for a in pi_L
+                        if all(sum(f * x for f, x in zip(form[a], lam.coeffs)) == 0
+                               for lam in basis)}
+            assert levi_kernel_helper(d, basis)[0] == expected
+            proper += set() < expected < pi_L
+            nondominant += any(min(lam.coeffs) < 0 for lam in basis)
+        assert proper and nondominant

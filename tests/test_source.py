@@ -1,7 +1,8 @@
 """Source-level invariants of the library, read from its syntax trees: it
 imports nothing outside the standard library, it states no invariant as an
-`assert`, which `python -O` would strip, and it never asks `json` for indented
-output, which CPython writes with its pure-Python encoder."""
+`assert`, which `python -O` would strip, it never asks `json` for indented
+output, which CPython writes with its pure-Python encoder, and each module
+binds every name its `__all__` exports."""
 
 import ast
 import sys
@@ -47,3 +48,27 @@ def test_no_indented_json_dumps(path):
              and getattr(n.func, "attr", getattr(n.func, "id", None)) in ("dump", "dumps")
              and any(k.arg == "indent" for k in n.keywords)]
     assert calls == []
+
+
+def _bound_names(tree):
+    """Names bound by the module's top-level statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_all_exports_are_bound(path):
+    tree = _tree(path)
+    exported = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    assert [name for names in exported for name in names
+            if name not in _bound_names(tree)] == []
