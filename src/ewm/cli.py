@@ -24,26 +24,13 @@ from .core import (
     GeneralDatum,
     MonoidResult,
     NonUnique,
-    compute_xi1,
-    compute_xi2,
     compute_monoid,
     kernel_iota,
     lambda_lattice,
     necessary_reports,
-    pi12,
     solve_xi3,
 )
-from .errors import (
-    BijectionFailure,
-    DataInconsistency,
-    EwmError,
-    Inconsistent,
-    NoExpression,
-    NoLift,
-    PiMapError,
-    SchemaError,
-    UniquenessViolated,
-)
+from .errors import EwmError, MathError, SchemaError
 from .intlin import CharSpace, CharVec, IntMatrix
 from .rootsys import CartanType, RootVec, WeightVec, build_root_system, is_dominant, wsupp
 from .solvable import SolvableDatum, solvable_monoid
@@ -53,16 +40,6 @@ __all__ = ["main", "run", "parse_input", "emit_output"]
 # Largest total rank a document may ask for, checked before any root system
 # is built: the positive roots of A_n number n(n+1)/2, each of length n.
 MAX_RANK = 128
-
-_MATH_ERRORS = (
-    Inconsistent,
-    BijectionFailure,
-    UniquenessViolated,
-    DataInconsistency,
-    PiMapError,
-    NoLift,
-    NoExpression,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +415,7 @@ def _run_general(doc: dict, allow_nonunique: bool) -> _Ran:
     if not isinstance(xi3, NonUnique):
         return 0, _monoid_json(compute_monoid(d)), d.char_space_K.names
     out = _monoid_json(MonoidResult(
-        generators=tuple(compute_xi1(d) + compute_xi2(d)),
+        generators=d.xi12,
         lambda_basis=tuple(lambda_lattice(d)),
         sigma_used=tuple(sorted(d.sigma_simple)),
         diagnostics=(),
@@ -487,7 +464,6 @@ def _run_check(doc: dict) -> _Ran:
     """Validation-only run of the general pipeline: lattice, kernel, and the
     necessary-condition reports, without solving for the third family."""
     d = parse_general(doc)
-    xi12 = compute_xi1(d) + compute_xi2(d)
     reports = [
         {
             "alpha": r.alpha + 1,
@@ -496,10 +472,10 @@ def _run_check(doc: dict) -> _Ran:
             "rho_values": list(r.rho_values) if r.rho_values else None,
             "asserted_spherical": r.alpha in d.sigma_simple,
         }
-        for r in necessary_reports(d, xi12)
+        for r in necessary_reports(d)
     ]
     out = {
-        "pi12": sorted(a + 1 for a in pi12(xi12)),
+        "pi12": [a + 1 for a in d.pi12],
         "kernel_iota": [list(b) for b in kernel_iota(d)],
         "lambda_basis": [list(b) for b in lambda_lattice(d)],
         "necessary": reports,
@@ -556,7 +532,7 @@ def run(argv: list[str]) -> int:
     except SchemaError as e:
         print(f"schema error at {e.pointer or '/'}: {e}", file=sys.stderr)
         return 2
-    except _MATH_ERRORS as e:
+    except MathError as e:
         print(f"inconsistent input: {e}", file=sys.stderr)
         return 3
     except EwmError as e:

@@ -10,6 +10,7 @@ translates to/from the 1-based labels used in input files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .chevalley import (
@@ -58,12 +59,10 @@ __all__ = [
     "NecessaryReport",
     "compute_xi1",
     "compute_xi2",
-    "pi12",
-    "xi12_at",
     "kernel_iota",
     "lambda_lattice",
     "mu_lift",
-    "rho_value",
+    "rho_vector",
     "delta_coeff",
     "solve_xi3",
     "compute_monoid",
@@ -113,6 +112,42 @@ class GeneralDatum:
                 return v
         raise MissingOmegaBar(f"no restriction supplied for fundamental weight {i + 1}")
 
+    # Derivations free of integer linear algebra, kept in the instance __dict__
+    # on first read: fields alone decide `==` and `hash`, and a replaced datum
+    # derives its own.
+
+    @cached_property
+    def xi12(self) -> tuple[Biweight, ...]:
+        """The first two generator families, Xi1 then Xi2."""
+        return tuple(compute_xi1(self) + compute_xi2(self))
+
+    @cached_property
+    def pi12(self) -> tuple[int, ...]:
+        """The coupled simple roots: those met by some Xi12 weight, sorted."""
+        return tuple(sorted(set().union(*(wsupp(bw.lam) for bw in self.xi12))))
+
+    @cached_property
+    def pi12_single(self) -> tuple[int, ...]:
+        """The roots of Pi12 met by exactly one Xi12 weight."""
+        return tuple(a for a in self.pi12
+                     if sum(a in wsupp(bw.lam) for bw in self.xi12) == 1)
+
+    @cached_property
+    def moduli(self) -> tuple[int, ...]:
+        """Row moduli of the codomain: 0 per free coordinate, then the torsion."""
+        return (0,) * self.codomain.free_rank + self.codomain.moduli
+
+    @cached_property
+    def mu_matrix(self) -> IntMatrix:
+        """The module weights as columns."""
+        return IntMatrix.from_cols([mu.coords for mu, _ in self.xi3_prime])
+
+    @cached_property
+    def xi12_matrix(self) -> IntMatrix:
+        """Xi12 weight coefficients at Pi12: a row per root, a column per generator."""
+        return IntMatrix.from_rows([[bw.lam.coeffs[a] for bw in self.xi12]
+                                    for a in self.pi12])
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -152,15 +187,12 @@ class MonoidResult:
     diagnostics: tuple[Diagnostic, ...]
 
 
-def _fundamental(rank: int, i: int, coeff: int = 1) -> WeightVec:
-    return WeightVec(tuple(coeff if j == i else 0 for j in range(rank)))
-
-
 def compute_xi1(d: GeneralDatum) -> list[Biweight]:
     """First family: (pi_alpha, -restriction) for alpha outside the Levi."""
     out = []
     for i in sorted(set(range(d.rank)) - d.pi_L):
-        out.append(Biweight(_fundamental(d.rank, i), -d.omega_bar_at(i), "Xi1"))
+        pi_i = WeightVec(tuple(int(j == i) for j in range(d.rank)))
+        out.append(Biweight(pi_i, -d.omega_bar_at(i), "Xi1"))
     return out
 
 
@@ -176,28 +208,9 @@ def compute_xi2(d: GeneralDatum) -> list[Biweight]:
     return out
 
 
-def pi12(xi12: Sequence[Biweight]) -> set[int]:
-    out: set[int] = set()
-    for bw in xi12:
-        out |= wsupp(bw.lam)
-    return out
-
-
-def xi12_at(xi12: Sequence[Biweight], alpha: int) -> list[Biweight]:
-    return [bw for bw in xi12 if alpha in wsupp(bw.lam)]
-
-
-def _mu_columns(d: GeneralDatum) -> IntMatrix:
-    return IntMatrix.from_cols([mu.coords for mu, _ in d.xi3_prime])
-
-
-def _codomain_moduli(d: GeneralDatum) -> list[int]:
-    return [0] * d.codomain.free_rank + list(d.codomain.moduli)
-
-
 def kernel_iota(d: GeneralDatum) -> list[tuple[int, ...]]:
     """Basis of Ker iota inside the weight lattice of T (pi-coordinates)."""
-    return kernel_with_moduli(d.iota, _codomain_moduli(d))
+    return kernel_with_moduli(d.iota, d.moduli)
 
 
 def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
@@ -205,22 +218,18 @@ def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
     if not d.xi3_prime:
         return kernel_iota(d)
     joint = IntMatrix.from_rows([r + tuple(-x for x in m)
-                                 for r, m in zip(d.iota.entries, _mu_columns(d).entries)])
-    gens = [k[: d.rank] for k in kernel_with_moduli(joint, _codomain_moduli(d))]
+                                 for r, m in zip(d.iota.entries, d.mu_matrix.entries)])
+    gens = [k[: d.rank] for k in kernel_with_moduli(joint, d.moduli)]
     return hnf_rows(gens, d.rank)
 
 
-def _simple_root_weight(d: GeneralDatum, alpha: int) -> WeightVec:
-    return root_to_weight(d.rs, RootVec(tuple(1 if j == alpha else 0 for j in range(d.rank))))
-
-
-def _rho_vector(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
+def rho_vector(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
     """All functional values (rho_1(alpha), ..., rho_k(alpha)) at once."""
     lam = lambda_lattice(d)
-    w = _simple_root_weight(d, alpha)
+    w = root_to_weight(d.rs, RootVec(tuple(int(j == alpha) for j in range(d.rank))))
     if not in_sublattice(w.coeffs, lam, [0] * d.rank):
         raise AlphaNotInLambda(f"simple root {alpha + 1} outside the weight lattice")
-    sol = solve_with_moduli(_mu_columns(d), _codomain_moduli(d), mat_vec(d.iota, w.coeffs))
+    sol = solve_with_moduli(d.mu_matrix, d.moduli, mat_vec(d.iota, w.coeffs))
     if sol is None:
         raise NoExpression(f"iota(alpha_{alpha + 1}) has no module-weight expression")
     particular, hom = sol
@@ -229,18 +238,11 @@ def _rho_vector(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
     return particular
 
 
-def rho_value(d: GeneralDatum, mu_index: int, alpha: int) -> int:
-    return _rho_vector(d, alpha)[mu_index]
-
-
 def delta_coeff(d: GeneralDatum, mu_index: int, alpha: int) -> int:
     """The 0/1 coefficient prescribed for the third-family generators."""
-    if alpha not in d.sigma_simple:
+    if alpha not in d.sigma_simple or alpha not in d.pi12_single:
         return 0
-    xi12 = compute_xi1(d) + compute_xi2(d)
-    if len(xi12_at(xi12, alpha)) != 1:
-        return 0
-    return 1 if rho_value(d, mu_index, alpha) == 1 else 0
+    return 1 if rho_vector(d, alpha)[mu_index] == 1 else 0
 
 
 def mu_lift(d: GeneralDatum, mu_index: int) -> WeightVec:
@@ -252,25 +254,24 @@ def mu_lift(d: GeneralDatum, mu_index: int) -> WeightVec:
         if d.codomain.reduce(got) != mu.coords:
             raise NoLift(f"supplied lift for module weight {mu_index + 1} is not a lift")
         return override
-    sol = solve_with_moduli(d.iota, _codomain_moduli(d), mu.coords)
+    sol = solve_with_moduli(d.iota, d.moduli, mu.coords)
     if sol is None:
         raise NoLift(f"module weight {mu_index + 1} outside the image of iota")
     return WeightVec(sol[0])
 
 
-def _solve_xi12(xi12: Sequence[Biweight], p12: Sequence[int], rhs: Sequence[int]):
+def _solve_xi12(d: GeneralDatum, rhs: Sequence[int]):
     """Integer coefficients over Xi12 whose combined weight takes the values
-    rhs at the coupled simple roots p12: (particular, homogeneous basis), or
+    rhs at the coupled simple roots Pi12: (particular, homogeneous basis), or
     None when there are none."""
-    rows = [[bw.lam.coeffs[a] for bw in xi12] for a in p12]
-    return solve_with_moduli(IntMatrix.from_rows(rows), [0] * len(p12), rhs)
+    return solve_with_moduli(d.xi12_matrix, [0] * len(d.pi12), rhs)
 
 
-def _combine(d: GeneralDatum, lam: WeightVec, coeffs: Sequence[int],
-             xi12: Sequence[Biweight]) -> tuple[WeightVec, CharVec]:
+def _combine(d: GeneralDatum, lam: WeightVec,
+             coeffs: Sequence[int]) -> tuple[WeightVec, CharVec]:
     """(lam, 0) plus the given integer combination of the Xi12 generators."""
     chi = d.char_space_K.zero()
-    for a, bw in zip(coeffs, xi12):
+    for a, bw in zip(coeffs, d.xi12):
         lam = lam + bw.lam.scale(a)
         chi = chi + bw.chi.scale(a)
     return lam, chi
@@ -282,14 +283,12 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
     prescribed 0/1 value."""
     if not d.xi3_prime:
         return []
-    xi12 = compute_xi1(d) + compute_xi2(d)
-    p12 = sorted(pi12(xi12))
     nonunique_entries = []
     out: list[Biweight] = []
     for mu_index in range(len(d.xi3_prime)):
         lift = mu_lift(d, mu_index)
-        rhs = [delta_coeff(d, mu_index, a) - lift.coeffs[a] for a in p12]
-        sol = _solve_xi12(xi12, p12, rhs)
+        rhs = [delta_coeff(d, mu_index, a) - lift.coeffs[a] for a in d.pi12]
+        sol = _solve_xi12(d, rhs)
         if sol is None:
             raise Inconsistent(
                 f"no integer solution for module weight {mu_index + 1}: input data "
@@ -306,9 +305,9 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
                 (mu_index, tuple(particular), tuple(tuple(h) for h in hom))
             )
             continue
-        lam, chi = _combine(d, lift, particular, xi12)
+        lam, chi = _combine(d, lift, particular)
         gen = Biweight(lam, chi, "Xi3")
-        for a in p12:
+        for a in d.pi12:
             if lam.coeffs[a] != delta_coeff(d, mu_index, a):
                 raise Inconsistent(
                     f"third-family weight for module weight {mu_index + 1} misses its "
@@ -316,22 +315,21 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
                 )
         out.append(gen)
     if nonunique_entries:
-        return NonUnique(entries=tuple(nonunique_entries), xi12_size=len(xi12))
+        return NonUnique(entries=tuple(nonunique_entries), xi12_size=len(d.xi12))
     return out
 
 
-def necessary_reports(d: GeneralDatum, xi12: Sequence[Biweight]) -> list[NecessaryReport]:
+def necessary_reports(d: GeneralDatum) -> list[NecessaryReport]:
     """The necessary test at each coupled simple root met by exactly one Xi12
     weight, in increasing order; there are none without module weights."""
     if not d.xi3_prime:
         return []
-    return [check_necessary(d, a) for a in sorted(pi12(xi12))
-            if len(xi12_at(xi12, a)) == 1]
+    return [check_necessary(d, a) for a in d.pi12_single]
 
 
-def _necessary_diagnostics(d: GeneralDatum, xi12: Sequence[Biweight]) -> list[Diagnostic]:
+def _necessary_diagnostics(d: GeneralDatum) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for report in necessary_reports(d, xi12):
+    for report in necessary_reports(d):
         a = report.alpha
         if report.passed and a not in d.sigma_simple:
             diags.append(
@@ -360,12 +358,10 @@ def lift_shift(d: GeneralDatum, kernel_vec: Sequence[int]):
 
     The prescribed coefficients pin the generator only on the coupled simple
     roots, so the shift is the same for every module weight."""
-    xi12 = compute_xi1(d) + compute_xi2(d)
-    p12 = sorted(pi12(xi12))
-    sol = _solve_xi12(xi12, p12, [-kernel_vec[a] for a in p12])
+    sol = _solve_xi12(d, [-kernel_vec[a] for a in d.pi12])
     if sol is None:
         return None
-    return _combine(d, WeightVec(tuple(kernel_vec)), sol[0], xi12)
+    return _combine(d, WeightVec(tuple(kernel_vec)), sol[0])
 
 
 def _lift_sensitivity_diagnostics(d: GeneralDatum) -> list[Diagnostic]:
@@ -402,9 +398,7 @@ def _lift_sensitivity_diagnostics(d: GeneralDatum) -> list[Diagnostic]:
 
 def compute_monoid(d: GeneralDatum) -> MonoidResult:
     """The full generator list, the weight lattice, and diagnostics."""
-    xi1 = compute_xi1(d)
-    xi2 = compute_xi2(d)
-    diagnostics = _necessary_diagnostics(d, xi1 + xi2)
+    diagnostics = _necessary_diagnostics(d)
     diagnostics += _lift_sensitivity_diagnostics(d)
     xi3 = solve_xi3(d)
     if isinstance(xi3, NonUnique):
@@ -412,7 +406,7 @@ def compute_monoid(d: GeneralDatum) -> MonoidResult:
             "compute_monoid requires a unique third family; use solve_xi3 for "
             "the non-unique report"
         )
-    generators = tuple(xi1 + xi2 + xi3)
+    generators = d.xi12 + tuple(xi3)
     expected = (d.rank - len(d.pi_L)) + len(d.xi2_prime) + len(d.xi3_prime)
     if len(generators) != expected:
         raise Inconsistent(
@@ -431,7 +425,7 @@ def check_necessary(d: GeneralDatum, alpha: int) -> NecessaryReport:
     the weight lattice, and exactly one functional takes value 1 on it with
     every other value at most 0."""
     try:
-        rho = _rho_vector(d, alpha)
+        rho = rho_vector(d, alpha)
     except AlphaNotInLambda:
         return NecessaryReport(alpha=alpha, in_lambda=False, rho_values=None, passed=False)
     ones = sum(1 for v in rho if v == 1)

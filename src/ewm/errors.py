@@ -7,6 +7,7 @@ message strings.
 
 __all__ = [
     "EwmError",
+    "MathError",
     "InvalidType",
     "NegativeRootCoordinate",
     "MissingOmegaBar",
@@ -28,6 +29,10 @@ class EwmError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MathError(EwmError):
+    """Well-formed input that is mathematically inconsistent (CLI exit 3)."""
+
+
 class InvalidType(EwmError):
     """A Cartan type outside the allowed family/rank ranges."""
 
@@ -44,23 +49,23 @@ class SupportClash(EwmError):
     """A second-family generator's support meets the complement of the Levi."""
 
 
-class AlphaNotInLambda(EwmError):
+class AlphaNotInLambda(MathError):
     """A simple root is not an element of the computed weight lattice."""
 
 
-class NoExpression(EwmError):
+class NoExpression(MathError):
     """iota(alpha) has no expression in the given module weights (bad input)."""
 
 
-class NoLift(EwmError):
+class NoLift(MathError):
     """A module weight lies outside the image of the restriction map."""
 
 
-class Inconsistent(EwmError):
+class Inconsistent(MathError):
     """The third-family linear system has no integer solution."""
 
 
-class UniquenessViolated(EwmError):
+class UniquenessViolated(MathError):
     """A unique solution was promised but a positive-dimensional family exists."""
 
 
@@ -68,11 +73,11 @@ class GeneratorsOutsideAmbient(EwmError):
     """ideal_closure() generators do not lie in the span of the ambient basis."""
 
 
-class PiMapError(EwmError):
+class PiMapError(MathError):
     """The distinguished-simple-root map is undefined or ambiguous for a root."""
 
 
-class BijectionFailure(EwmError):
+class BijectionFailure(MathError):
     """The restricted map pi: F(beta) -> Supp(beta) fails to be bijective."""
 
 
@@ -84,5 +89,5 @@ class SchemaError(EwmError):
         self.pointer = pointer
 
 
-class DataInconsistency(EwmError):
+class DataInconsistency(MathError):
     """Input assertions contradict a computed necessary condition."""

@@ -50,15 +50,10 @@ class SolvableResult:
     sigma: tuple[int, ...]
 
 
-def _decompositions(rs: RootSystem, alpha: RootVec) -> list[tuple[RootVec, RootVec]]:
-    """All ordered pairs of positive roots summing to alpha."""
-    pos = set(rs.pos_roots)
-    out = []
-    for beta in rs.pos_roots:
-        gamma = alpha - beta
-        if gamma in pos:
-            out.append((beta, gamma))
-    return out
+def _decompositions(rs: RootSystem, pos: set[RootVec], alpha: RootVec) -> list[RootVec]:
+    """The first summands beta of the ways to write alpha as a sum of two
+    positive roots; `pos` is the set of positive roots of rs."""
+    return [beta for beta in rs.pos_roots if alpha - beta in pos]
 
 
 def pi_map(d: SolvableDatum) -> dict[RootVec, int]:
@@ -66,13 +61,14 @@ def pi_map(d: SolvableDatum) -> dict[RootVec, int]:
     every summand of every two-part decomposition is active exactly when the
     distinguished root is outside its support."""
     psi = set(d.active_roots)
+    pos = set(d.rs.pos_roots)
     out: dict[RootVec, int] = {}
     for alpha in d.active_roots:
-        decomps = _decompositions(d.rs, alpha)
+        decomps = _decompositions(d.rs, pos, alpha)
         candidates = []
         for delta in sorted(supp(alpha)):
             ok = all(
-                (beta in psi) == (delta not in supp(beta)) for beta, _ in decomps
+                (beta in psi) == (delta not in supp(beta)) for beta in decomps
             )
             if ok:
                 candidates.append(delta)
@@ -99,7 +95,11 @@ def f_set(d: SolvableDatum, beta: RootVec) -> list[RootVec]:
 
 def validate_pi(d: SolvableDatum) -> list[RootVec]:
     """Roots whose F-set fails to biject onto the support; empty means ok."""
-    pm = pi_map(d)
+    return _bijection_violations(d, pi_map(d))
+
+
+def _bijection_violations(d: SolvableDatum, pm: dict[RootVec, int]) -> list[RootVec]:
+    """validate_pi against an already computed pi map."""
     violations = []
     for beta in d.active_roots:
         image = [pm[gamma] for gamma in f_set(d, beta)]
@@ -136,12 +136,12 @@ def _fibers(d: SolvableDatum) -> dict[CharVec, list[RootVec]]:
 def solvable_monoid(d: SolvableDatum) -> SolvableResult:
     """Closed-form free generators: one per fundamental weight, plus one per
     distinct restriction value of an active root."""
-    bad = validate_pi(d)
+    pm = pi_map(d)
+    bad = _bijection_violations(d, pm)
     if bad:
         raise BijectionFailure(
             f"F-set bijectivity fails for {[b.coeffs for b in bad]}"
         )
-    pm = pi_map(d)
     fibers = _fibers(d)
     rank = d.rank
     gens: list[Biweight] = []

@@ -17,11 +17,9 @@ from ewm.core import (
     NonUnique,
     check_sufficient_lie,
     compute_monoid,
-    compute_xi1,
-    compute_xi2,
     kernel_iota,
     lambda_lattice,
-    rho_value,
+    rho_vector,
     solve_xi3,
 )
 from ewm.intlin import (
@@ -73,10 +71,10 @@ SL6_GENERATORS = [
 def xi3_coefficients(d):
     """Re-derive the per-module-weight solution coefficients of the linear
     system (unknowns ordered over Xi1 then Xi2)."""
-    from ewm.core import mu_lift, pi12, delta_coeff
+    from ewm.core import mu_lift, delta_coeff
 
-    xi12 = compute_xi1(d) + compute_xi2(d)
-    p12 = sorted(pi12(xi12))
+    xi12 = d.xi12
+    p12 = d.pi12
     out = []
     for k in range(len(d.xi3_prime)):
         lift = mu_lift(d, k)
@@ -117,7 +115,7 @@ def test_criterion_2_sl6_intermediates(capsys, sl6):
             (0, 0, 1, 0, 1),
         ]
         assert lattice_equal(lambda_lattice(sl6), paper_lambda, [0] * 5)
-        table = [[rho_value(sl6, j, a) for a in range(5)] for j in range(3)]
+        table = [[rho_vector(sl6, a)[j] for a in range(5)] for j in range(3)]
         assert table == [
             [0, 1, 0, 0, -1],
             [1, -1, 1, -1, 1],
@@ -131,7 +129,7 @@ def test_criterion_3_so7_end_to_end(capsys, so7):
     def body():
         t0 = time.perf_counter()
         assert lattice_equal(kernel_iota(so7), [(2, 0, -2)], [0, 0, 0])
-        table = [[rho_value(so7, j, a) for a in range(3)] for j in range(2)]
+        table = [[rho_vector(so7, a)[j] for a in range(3)] for j in range(2)]
         assert table == [[-1, 2, -1], [1, -1, 1]]
         # coefficients over (Xi1 at alpha1, Xi1 at alpha3) per module weight
         assert xi3_coefficients(so7) == [(-1, 2), (-1, 1)]

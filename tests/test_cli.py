@@ -10,7 +10,7 @@ import pytest
 
 import ewm.cli
 from ewm.cli import MAX_RANK, _parse_group, emit_output, run
-from ewm.errors import SchemaError
+from ewm.errors import MathError, SchemaError
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = DATA / "golden"
@@ -182,6 +182,39 @@ def test_math_error_exit_code():
     }
     proc = run_cli(["general"], stdin=json.dumps(doc))
     assert proc.returncode == 3
+
+
+def test_simple_root_outside_lattice_exits_3():
+    """G2 with active roots alpha_2 and 3alpha_1 + 2alpha_2, in general form:
+    alpha_1 is not in the weight lattice, which the third-family solve meets
+    before the necessary diagnostics do."""
+    doc = {
+        "mode": "general",
+        "group": [{"family": "G", "rank": 2}],
+        "pi_L": [],
+        "char_space_K": {"free_rank": 2},
+        "codomain": {"free_rank": 2},
+        "iota": [[1, 0], [0, 1]],
+        "omega_bar": {"1": [1, 0], "2": [0, 1]},
+        "xi3_prime": [{"mu": [-3, 2]}, {"mu": [0, 1]}],
+        "sigma_simple": [1, 2],
+    }
+    proc = run_cli(["general"], stdin=json.dumps(doc))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("inconsistent input:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("exc", MathError.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_math_error_exits_3(exc, monkeypatch, capsys):
+    def raise_it(doc):
+        raise exc("planted")
+
+    monkeypatch.setattr(ewm.cli, "parse_general", raise_it)
+    monkeypatch.setattr(sys, "stdin", StringIO((DATA / "so7.json").read_text()))
+    assert run(["general"]) == 3
+    assert "inconsistent input: planted" in capsys.readouterr().err
 
 
 def test_check_mode_reports():

@@ -3,11 +3,15 @@ dual functionals and the 0/1 coefficients, the third-family solve, and the
 necessary/sufficient tests, all against the worked examples."""
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import ewm.core
 from ewm.chevalley import build_algebra, root_vector
+from ewm.cli import parse_general, parse_solvable, run
 from ewm.core import (
     Biweight,
     GeneralDatum,
@@ -22,10 +26,8 @@ from ewm.core import (
     lambda_lattice,
     levi_kernel_helper,
     mu_lift,
-    pi12,
-    rho_value,
+    rho_vector,
     solve_xi3,
-    xi12_at,
 )
 from ewm.errors import (
     DataInconsistency,
@@ -37,6 +39,9 @@ from ewm.errors import (
 )
 from ewm.intlin import CharSpace, CharVec, IntMatrix, lattice_equal
 from ewm.rootsys import CartanType, WeightVec, build_root_system
+from ewm.solvable import to_general
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def gens_as_pairs(gens):
@@ -54,9 +59,8 @@ class TestSL6:
         ]
 
     def test_pi12_is_everything(self, sl6):
-        xi12 = compute_xi1(sl6) + compute_xi2(sl6)
-        assert pi12(xi12) == {0, 1, 2, 3, 4}
-        assert len(xi12_at(xi12, 2)) == 1
+        assert sl6.pi12 == (0, 1, 2, 3, 4)
+        assert 2 in sl6.pi12_single
 
     def test_kernel(self, sl6):
         assert lattice_equal(
@@ -74,7 +78,7 @@ class TestSL6:
         assert lattice_equal(lambda_lattice(sl6), paper_basis, [0] * 5)
 
     def test_rho_table(self, sl6):
-        table = [[rho_value(sl6, j, a) for a in range(5)] for j in range(3)]
+        table = [[rho_vector(sl6, a)[j] for a in range(5)] for j in range(3)]
         assert table == [
             [0, 1, 0, 0, -1],
             [1, -1, 1, -1, 1],
@@ -122,8 +126,7 @@ class TestSO7:
         assert compute_xi2(so7) == []
 
     def test_pi12(self, so7):
-        xi12 = compute_xi1(so7)
-        assert pi12(xi12) == {0, 2}
+        assert so7.pi12 == (0, 2)
 
     def test_kernel(self, so7):
         assert lattice_equal(kernel_iota(so7), [(2, 0, -2)], [0, 0, 0])
@@ -134,7 +137,7 @@ class TestSO7:
         assert lattice_equal(lambda_lattice(so7), root_basis, [0, 0, 0])
 
     def test_rho_table(self, so7):
-        table = [[rho_value(so7, j, a) for a in range(3)] for j in range(2)]
+        table = [[rho_vector(so7, a)[j] for a in range(3)] for j in range(2)]
         assert table == [[-1, 2, -1], [1, -1, 1]]
 
     def test_delta(self, so7):
@@ -395,3 +398,47 @@ class TestLeviKernelHelper:
             proper += set() < expected < pi_L
             nondominant += any(min(lam.coeffs) < 0 for lam in basis)
         assert proper and nondominant
+
+
+class TestDerivedOnce:
+    """Xi1/Xi2 and what is read off them are derived once per datum, and kept
+    out of the datum's equality and hash."""
+
+    @pytest.fixture
+    def xi1_calls(self, monkeypatch):
+        calls = []
+        compute = ewm.core.compute_xi1
+
+        def counted(d):
+            calls.append(d)
+            return compute(d)
+
+        monkeypatch.setattr(ewm.core, "compute_xi1", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["sl6", "so7"])
+    def test_once_per_cli_run(self, name, xi1_calls, capsys):
+        assert run(["general", "--input", str(DATA / f"{name}.json")]) == 0
+        assert len(xi1_calls) == 1
+
+    def test_once_per_solvable_encoding(self, xi1_calls):
+        n = 8
+        d = parse_solvable({"mode": "solvable", "group": [{"family": "A", "rank": n}],
+                            "active_roots": [[int(i == j) for j in range(n)]
+                                             for i in range(n)]})
+        compute_monoid(to_general(d))
+        assert len(xi1_calls) == 1
+
+    def test_cached_members_leave_eq_and_hash(self):
+        doc = json.loads((DATA / "sl6.json").read_text(encoding="utf-8"))
+        read, fresh = parse_general(doc), parse_general(doc)
+        for name in ("xi12", "pi12", "pi12_single", "moduli", "mu_matrix", "xi12_matrix"):
+            getattr(read, name)
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+
+    def test_replace_derives_afresh(self, sl6):
+        assert sl6.pi12 == (0, 1, 2, 3, 4)
+        d = dataclasses.replace(sl6, xi2_prime=sl6.xi2_prime[:1])
+        assert d.xi12 == sl6.xi12[:2]
+        assert d.pi12 == (0, 2, 3)
