@@ -238,13 +238,8 @@ def parse_solvable(doc: dict) -> SolvableDatum:
         iota = IntMatrix.from_rows(
             [[int(i == j) for j in range(rank)] for i in range(rank)]
         )
-    rs = build_root_system(ctype)
-    pos = set(rs.pos_roots)
-    for k, r in enumerate(roots):
-        if r not in pos:
-            raise SchemaError(f"{list(r.coeffs)} is not a positive root",
-                              f"/active_roots/{k}")
-    return SolvableDatum(rs=rs, active_roots=tuple(roots), codomain=codomain, iota=iota)
+    return SolvableDatum(rs=build_root_system(ctype), active_roots=tuple(roots),
+                         codomain=codomain, iota=iota)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -261,7 +256,9 @@ def _unique_keys(pairs: list) -> dict:
 def parse_input(text: str) -> dict:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and CPython's cap on the digits
+        # of an integer literal; RecursionError too-deep nesting
         raise SchemaError(f"invalid JSON: {e}", "")
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object", "")

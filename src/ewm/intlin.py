@@ -45,7 +45,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        return IntMatrix(tuple(map(tuple, rows)))
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[int]]) -> "IntMatrix":

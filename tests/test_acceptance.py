@@ -33,7 +33,7 @@ from ewm.intlin import (
     solve_with_moduli,
 )
 from ewm.rootsys import CartanType, WeightVec, build_root_system, positive_root_count
-from ewm.solvable import pi_map, solvable_monoid, solvable_sigma, to_general, validate_pi
+from ewm.solvable import pi_map, solvable_monoid, to_general, validate_pi
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -406,7 +406,7 @@ def test_criterion_10_n0_solvable(capsys, n0):
             (0, 1, 1, 0, 0): 1,
             (0, 0, 1, 1, 0): 3,
         }
-        assert solvable_sigma(n0) == {1, 2, 3}
+        assert n0.sigma == {1, 2, 3}
         assert validate_pi(n0) == []
 
     announce(capsys, 10, "N0 solvable data", body)

@@ -460,3 +460,37 @@ def test_module_weights_are_named_1_based(edit, message, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
     assert run(["general"]) == 3
     assert f"inconsistent input: {message}" in capsys.readouterr().err
+
+
+_LONG_INT = ('{"mode": "roots", "group": [{"family": "A", "rank": '
+             + "1" * 5000 + "}]}").encode()
+_DEEP = b"[" * 200_000
+
+
+@pytest.mark.parametrize("text", [_LONG_INT, _DEEP], ids=["long-int-literal", "deep-nesting"])
+def test_unparseable_json_exits_2(text):
+    """CPython's JSON decoder rejects an integer literal of more than 4,300
+    digits with a plain ValueError and too-deep nesting with RecursionError;
+    both are invalid JSON at `/`, not a traceback."""
+    proc = subprocess.run([sys.executable, "-m", "ewm.cli", "roots"], input=text,
+                          capture_output=True)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"schema error at /:")
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "roots,message",
+    [
+        ([[1, 0], [1, 0]], "[1, 0] repeats an earlier active root"),
+        ([[1, 0], [1, 0], [1, 1]], "[1, 0] repeats an earlier active root"),
+        ([[1, 0], [1, 2]], "[1, 2] is not a positive root"),
+    ],
+    ids=["repeated", "repeated-then-bijection", "not-positive"],
+)
+def test_bad_active_root_exits_2_with_pointer(roots, message, monkeypatch, capsys):
+    doc = {"mode": "solvable", "group": [{"family": "A", "rank": 2}], "active_roots": roots}
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
+    assert run(["solvable"]) == 2
+    assert capsys.readouterr().err == f"schema error at /active_roots/1: {message}\n"

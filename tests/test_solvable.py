@@ -1,10 +1,14 @@
 """Strongly solvable pipeline: the distinguished-root map, F-sets, the closed
 form for the generators, and agreement with the general pipeline."""
 
+import dataclasses
+import re
+
 import pytest
 
+import ewm.solvable
 from ewm.core import compute_monoid
-from ewm.errors import PiMapError
+from ewm.errors import PiMapError, SchemaError
 from ewm.intlin import CharSpace, IntMatrix
 from ewm.rootsys import CartanType, RootVec, build_root_system
 from ewm.solvable import (
@@ -12,7 +16,6 @@ from ewm.solvable import (
     f_set,
     pi_map,
     solvable_monoid,
-    solvable_sigma,
     to_general,
     validate_pi,
 )
@@ -20,6 +23,57 @@ from ewm.solvable import (
 
 def pairs(gens):
     return sorted((g.lam.coeffs, g.chi.coords) for g in gens)
+
+
+class TestActiveRoots:
+    @pytest.mark.parametrize(
+        "roots,message",
+        [
+            (((1, 0), (1, 0)), "[1, 0] repeats an earlier active root"),
+            (((0, 1), (1, 0), (1, 1), (1, 0)), "[1, 0] repeats an earlier active root"),
+            (((1, 0), (1, 2)), "[1, 2] is not a positive root"),
+            (((1, 0), (-1, 0)), "[-1, 0] is not a positive root"),
+        ],
+        ids=["repeated", "repeated-late", "not-a-root", "negative"],
+    )
+    def test_rejected_with_pointer(self, roots, message):
+        with pytest.raises(SchemaError, match=re.escape(message)) as err:
+            SolvableDatum(
+                rs=build_root_system(CartanType((("A", 2),))),
+                active_roots=tuple(RootVec(r) for r in roots),
+                codomain=CharSpace(2),
+                iota=IntMatrix.from_rows([[1, 0], [0, 1]]),
+            )
+        assert err.value.pointer == f"/active_roots/{len(roots) - 1}"
+
+
+class TestDerivedOnce:
+    def test_restrictions_computed_once(self, n0, monkeypatch):
+        """The closed form and the general encoding share one restriction of
+        each active root."""
+        calls = []
+        real = ewm.solvable.root_to_weight
+
+        def counted(rs, r):
+            calls.append(r)
+            return real(rs, r)
+
+        monkeypatch.setattr(ewm.solvable, "root_to_weight", counted)
+        solvable_monoid(n0)
+        to_general(n0)
+        assert sorted(calls, key=lambda r: r.coeffs) == sorted(
+            n0.active_roots, key=lambda r: r.coeffs)
+
+    def test_members_are_lazy_and_leave_equality_alone(self, n0):
+        """Construction derives only the root set its check reads, so a
+        parsed datum holds no pipeline work yet."""
+        before = hash(n0)
+        solvable_monoid(n0)
+        fresh = dataclasses.replace(n0)
+        assert hash(n0) == before == hash(fresh)
+        assert n0 == fresh
+        fields = {f.name for f in dataclasses.fields(fresh)}
+        assert set(vars(fresh)) - fields == {"pos_set"}
 
 
 class TestPiMap:
@@ -70,10 +124,10 @@ class TestFSet:
 
 class TestSigma:
     def test_sl3_full(self, sl3_solvable):
-        assert solvable_sigma(sl3_solvable) == {0, 1}
+        assert sl3_solvable.sigma == {0, 1}
 
     def test_n0(self, n0):
-        assert solvable_sigma(n0) == {1, 2, 3}
+        assert n0.sigma == {1, 2, 3}
 
     def test_empty(self):
         rs = build_root_system(CartanType((("A", 2),)))
@@ -83,7 +137,7 @@ class TestSigma:
             codomain=CharSpace(2),
             iota=IntMatrix.from_rows([[1, 0], [0, 1]]),
         )
-        assert solvable_sigma(d) == set()
+        assert d.sigma == set()
 
 
 class TestMonoid:

@@ -1,8 +1,9 @@
 """Source-level invariants of the library, read from its syntax trees: it
 imports nothing outside the standard library, it states no invariant as an
 `assert`, which `python -O` would strip, it never asks `json` for indented
-output, which CPython writes with its pure-Python encoder, and each module
-binds every name its `__all__` exports."""
+output, which CPython writes with its pure-Python encoder, each module
+binds every name its `__all__` exports, and every function the benchmark's
+stage trace wraps by name still exists."""
 
 import ast
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "ewm").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "ewm").glob("*.py"))
 
 
 def _tree(path):
@@ -72,3 +74,17 @@ def test_all_exports_are_bound(path):
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
     assert [name for names in exported for name in names
             if name not in _bound_names(tree)] == []
+
+
+def test_traced_functions_are_defined():
+    """`perfbench/spans.py` wraps library functions by name and counts a
+    missing one as absent; a rename must fail here instead."""
+    tree = _tree(ROOT / "perfbench" / "spans.py")
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets))
+    assert wrapped
+    missing = [(module, name) for module, names in wrapped.items()
+               for name in names
+               if name not in _bound_names(_tree(ROOT / "src" / f"{module.replace('.', '/')}.py"))]
+    assert missing == []
