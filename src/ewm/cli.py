@@ -153,6 +153,9 @@ def _parse_indices(raw: Any, rank: int, pointer: str) -> frozenset[int]:
         _is_int(i) and 1 <= i <= rank for i in raw
     ):
         raise SchemaError(f"expected a list of indices in 1..{rank}", pointer)
+    for k, i in enumerate(raw):
+        if i in raw[:k]:
+            raise SchemaError(f"{i} repeats an earlier simple root", f"{pointer}/{k}")
     return frozenset(i - 1 for i in raw)
 
 

@@ -4,10 +4,16 @@ The single engine is the Smith normal form; kernels, congruence solving and
 lattice membership are all phrased as SNF problems on a matrix augmented with
 one column m_i * e_i per torsion row.  All arithmetic is arbitrary-precision
 Python int, so intermediate coefficient growth is a non-issue.
+
+Each distinct matrix is factored once per process: `smith_normal_form` is a
+bounded LRU memo of 16 keyed by the frozen `IntMatrix`, whose shared (U, D, V)
+results are immutable.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,6 +33,7 @@ __all__ = [
 ]
 
 Vec = tuple[int, ...]
+SNF_MEMO_SIZE = 16  # distinct matrices kept by the smith_normal_form memo
 
 
 @dataclass(frozen=True)
@@ -117,16 +124,23 @@ class CharVec:
 
 
 def mat_vec(A: IntMatrix, x: Sequence[int]) -> Vec:
-    return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in A.entries)
+    if A.rows and len(x) != A.cols:  # a 0-row matrix takes any x
+        raise SchemaError(f"vector has {len(x)} entries for {A.cols} columns")
+    return tuple(sum(map(operator.mul, r, x)) for r in A.entries)
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=SNF_MEMO_SIZE)
 def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with D = U*A*V, U and V unimodular, D diagonal with
     non-negative entries satisfying d1 | d2 | ...
+
+    Memoised on A; callers share the immutable result.  16 is over three
+    times the most distinct matrices one datum needs (5, on data/sl6.json),
+    so no datum factors a matrix twice; at MAX_RANK it also caps the memory.
     """
     m, n = A.rows, A.cols
     M = [list(r) for r in A.entries]
@@ -219,6 +233,8 @@ def _augment_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     if len(moduli) != A.rows:
         raise SchemaError(f"{len(moduli)} moduli for {A.rows} rows")
     extra = [i for i, mmod in enumerate(moduli) if mmod != 0]
+    if not extra:
+        return A
     rows = []
     for i, r in enumerate(A.entries):
         tail = tuple(moduli[i] if i == k else 0 for k in extra)
@@ -230,11 +246,7 @@ def _kernel_columns(A: IntMatrix) -> list[Vec]:
     """Integer kernel basis of A x = 0 via SNF: columns of V past the rank."""
     U, D, V = smith_normal_form(A)
     n = A.cols
-    rank = sum(
-        1
-        for i in range(min(A.rows, n))
-        if D.entries[i][i] != 0
-    )
+    rank = sum(1 for i in range(min(A.rows, n)) if D.entries[i][i] != 0)
     return [V.column(j) for j in range(rank, n)]
 
 

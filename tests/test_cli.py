@@ -494,3 +494,21 @@ def test_bad_active_root_exits_2_with_pointer(roots, message, monkeypatch, capsy
     monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
     assert run(["solvable"]) == 2
     assert capsys.readouterr().err == f"schema error at /active_roots/1: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field,indices,pointer,message",
+    [
+        ("pi_L", [2, 2], "/pi_L/1", "2 repeats an earlier simple root"),
+        ("pi_L", [2, 1, 2], "/pi_L/2", "2 repeats an earlier simple root"),
+        ("sigma_simple", [3, 3], "/sigma_simple/1", "3 repeats an earlier simple root"),
+    ],
+    ids=["pi_L", "pi_L-late", "sigma_simple"],
+)
+def test_repeated_index_exits_2_with_pointer(field, indices, pointer, message,
+                                             monkeypatch, capsys):
+    doc = json.loads((DATA / "so7.json").read_text(encoding="utf-8"))
+    doc[field] = indices
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
+    assert run(["general"]) == 2
+    assert capsys.readouterr().err == f"schema error at {pointer}: {message}\n"

@@ -37,7 +37,7 @@ from ewm.errors import (
     NoLift,
     UniquenessViolated,
 )
-from ewm.intlin import CharSpace, CharVec, IntMatrix, lattice_equal
+from ewm.intlin import CharSpace, CharVec, IntMatrix, lattice_equal, smith_normal_form
 from ewm.rootsys import CartanType, WeightVec, build_root_system
 from ewm.solvable import to_general
 
@@ -442,3 +442,28 @@ class TestDerivedOnce:
         d = dataclasses.replace(sl6, xi2_prime=sl6.xi2_prime[:1])
         assert d.xi12 == sl6.xi12[:2]
         assert d.pi12 == (0, 2, 3)
+
+
+def test_sl6_factors_each_matrix_once(capsys):
+    """The 343 SNF requests of one sl6 run factor its 5 distinct matrices once
+    each; the output is the golden one with the memo cold and warm."""
+    golden = (DATA / "golden" / "sl6.general.json").read_text(encoding="utf-8")
+    args = ["general", "--input", str(DATA / "sl6.json")]
+    smith_normal_form.cache_clear()
+    assert run(args) == 0
+    info = smith_normal_form.cache_info()
+    assert (info.misses, info.hits) == (5, 338)
+    assert capsys.readouterr().out == golden
+    assert run(args) == 0
+    assert smith_normal_form.cache_info().misses == 5
+    assert capsys.readouterr().out == golden
+
+
+def test_a8_factors_at_most_four_matrices():
+    d = parse_solvable({"mode": "solvable", "group": [{"family": "A", "rank": 8}],
+                        "active_roots": [[int(i == j) for j in range(8)] for i in range(8)]})
+    smith_normal_form.cache_clear()
+    compute_monoid(to_general(d))
+    info = smith_normal_form.cache_info()
+    assert info.hits + info.misses == 714
+    assert info.misses <= 4

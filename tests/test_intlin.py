@@ -109,6 +109,18 @@ def test_snf_nonsquare():
         check_snf_contract(A)
 
 
+@pytest.mark.parametrize("x", [(1,), (1, 2, 3)], ids=["short", "long"])
+def test_mat_vec_rejects_length_mismatch(x):
+    with pytest.raises(SchemaError, match="vector has"):
+        mat_vec(IntMatrix.from_rows([[1, 2], [3, 4]]), x)
+
+
+def test_mat_vec_zero_rows_takes_any_vector():
+    """A map into a codomain of dimension 0 has no column count to check."""
+    assert mat_vec(IntMatrix(()), (1, 2, 3)) == ()
+    assert mat_vec(IntMatrix(()), ()) == ()
+
+
 def test_kernel_sl6():
     iota = IntMatrix.from_rows([[1, 1, 1, 0, 0], [0, 1, 1, 1, 0], [0, 0, 1, 1, 1]])
     basis = kernel_with_moduli(iota, [0, 0, 0])
