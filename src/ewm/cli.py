@@ -169,7 +169,7 @@ def _parse_iota(raw: Any, rank: int, dim: int, pointer: str) -> IntMatrix:
         raise SchemaError(
             f"iota must be a {dim}x{rank} integer matrix (rows over the "
             "fundamental-weight columns)", pointer)
-    return IntMatrix.from_rows(raw)
+    return IntMatrix.from_rows(raw, rank)
 
 
 def parse_general(doc: dict) -> GeneralDatum:

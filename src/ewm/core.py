@@ -140,13 +140,14 @@ class GeneralDatum:
     @cached_property
     def mu_matrix(self) -> IntMatrix:
         """The module weights as columns."""
-        return IntMatrix.from_cols([mu.coords for mu, _ in self.xi3_prime])
+        return IntMatrix.from_cols([mu.coords for mu, _ in self.xi3_prime],
+                                   self.codomain.dim)
 
     @cached_property
     def xi12_matrix(self) -> IntMatrix:
         """Xi12 weight coefficients at Pi12: a row per root, a column per generator."""
         return IntMatrix.from_rows([[bw.lam.coeffs[a] for bw in self.xi12]
-                                    for a in self.pi12])
+                                    for a in self.pi12], len(self.xi12))
 
 
 @dataclass(frozen=True)
@@ -214,11 +215,11 @@ def kernel_iota(d: GeneralDatum) -> list[tuple[int, ...]]:
 
 
 def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
-    """Basis of the preimage under iota of the span of the module weights."""
-    if not d.xi3_prime:
-        return kernel_iota(d)
+    """Basis of the preimage under iota of the span of the module weights: the
+    first rank coordinates of the kernel of [iota | -mu]."""
     joint = IntMatrix.from_rows([r + tuple(-x for x in m)
-                                 for r, m in zip(d.iota.entries, d.mu_matrix.entries)])
+                                 for r, m in zip(d.iota.entries, d.mu_matrix.entries)],
+                                d.iota.cols + d.mu_matrix.cols)
     gens = [k[: d.rank] for k in kernel_with_moduli(joint, d.moduli)]
     return hnf_rows(gens, d.rank)
 
@@ -281,8 +282,6 @@ def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:
     """Third family via the linear system: for each module weight mu, the
     coefficient of its generator at each fundamental weight in Pi12 is the
     prescribed 0/1 value."""
-    if not d.xi3_prime:
-        return []
     nonunique_entries = []
     out: list[Biweight] = []
     for mu_index in range(len(d.xi3_prime)):
@@ -468,9 +467,5 @@ def levi_kernel_helper(
     (pi_i, alpha_a) = delta_ia d_a, so (alpha_a, lam) = d_a lam_a."""
     # d_a > 0, so alpha_a is orthogonal to lam exactly when lam_a = 0
     pi_M = {a for a in d.pi_L if all(lam.coeffs[a] == 0 for lam in lambda_L_basis)}
-    if not lambda_L_basis:
-        return pi_M, [
-            tuple(1 if j == i else 0 for j in range(d.rank)) for i in range(d.rank)
-        ]
-    A = IntMatrix.from_rows([lam.coeffs for lam in lambda_L_basis])
+    A = IntMatrix.from_rows([lam.coeffs for lam in lambda_L_basis], d.rank)
     return pi_M, kernel_with_moduli(A, [0] * len(lambda_L_basis))

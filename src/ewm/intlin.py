@@ -5,6 +5,10 @@ lattice membership are all phrased as SNF problems on a matrix augmented with
 one column m_i * e_i per torsion row.  All arithmetic is arbitrary-precision
 Python int, so intermediate coefficient growth is a non-issue.
 
+A matrix carries its column count, so a 0 x n matrix (a map into the zero
+group) and an m x 0 one (an empty basis) go down the same SNF path as any
+other: the kernel of a 0 x n matrix is all of Z^n.
+
 Each distinct matrix is factored once per process: `smith_normal_form` is a
 bounded LRU memo of 16 keyed by the frozen `IntMatrix`, whose shared (U, D, V)
 results are immutable.
@@ -27,7 +31,6 @@ __all__ = [
     "kernel_with_moduli",
     "solve_with_moduli",
     "in_sublattice",
-    "lattice_equal",
     "hnf_rows",
     "mat_vec",
 ]
@@ -38,28 +41,35 @@ SNF_MEMO_SIZE = 16  # distinct matrices kept by the smith_normal_form memo
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """A rectangular integer matrix stored as a tuple of row tuples."""
+    """A rectangular integer matrix: a tuple of row tuples and the column
+    count, which a matrix with no rows still has."""
 
     entries: tuple[Vec, ...]
+    cols: int
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        """The matrix with these rows; `cols` is required when there are none."""
+        entries = tuple(map(tuple, rows))
+        if entries:
+            cols = len(entries[0])
+        elif cols is None:
+            raise SchemaError("a matrix with no rows needs its column count")
+        return IntMatrix(entries, cols)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(map(tuple, rows)))
-
-    @staticmethod
-    def from_cols(cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix.from_rows(list(zip(*cols))) if cols else IntMatrix(())
+    def from_cols(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
+        """The matrix with these columns; `rows` is required when there are none."""
+        t = IntMatrix.from_rows(cols, rows)
+        # zipping in range(t.cols) yields a row per column of t, even when t has no rows
+        return IntMatrix(tuple(r[1:] for r in zip(range(t.cols), *t.entries)), t.rows)
 
     def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        return tuple(map(operator.itemgetter(j), self.entries))
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,7 @@ class CharVec:
 
 
 def mat_vec(A: IntMatrix, x: Sequence[int]) -> Vec:
-    if A.rows and len(x) != A.cols:  # a 0-row matrix takes any x
+    if len(x) != A.cols:
         raise SchemaError(f"vector has {len(x)} entries for {A.cols} columns")
     return tuple(sum(map(operator.mul, r, x)) for r in A.entries)
 
@@ -136,7 +146,8 @@ def mat_vec(A: IntMatrix, x: Sequence[int]) -> Vec:
 @functools.lru_cache(maxsize=SNF_MEMO_SIZE)
 def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with D = U*A*V, U and V unimodular, D diagonal with
-    non-negative entries satisfying d1 | d2 | ...
+    non-negative entries satisfying d1 | d2 | ...; for an m x n matrix A they
+    are m x m, m x n and n x n.
 
     Memoised on A; callers share the immutable result.  16 is over three
     times the most distinct matrices one datum needs (5, on data/sl6.json),
@@ -222,9 +233,9 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         t += 1
 
     return (
-        IntMatrix.from_rows(U),
-        IntMatrix.from_rows(M),
-        IntMatrix.from_rows(V),
+        IntMatrix.from_rows(U, m),
+        IntMatrix.from_rows(M, n),
+        IntMatrix.from_rows(V, n),
     )
 
 
@@ -252,9 +263,6 @@ def _kernel_columns(A: IntMatrix) -> list[Vec]:
 
 def kernel_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> list[Vec]:
     """Basis of {x : (Ax)_i = 0 when m_i = 0, (Ax)_i = 0 mod m_i otherwise}."""
-    if A.rows == 0:
-        n = A.cols
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     aug = _augment_with_moduli(A, moduli)
     gens = [k[: A.cols] for k in _kernel_columns(aug)]
     return hnf_rows(gens, A.cols)
@@ -294,22 +302,8 @@ def in_sublattice(v: Sequence[int], basis: Sequence[Sequence[int]], moduli: Sequ
     `moduli` describes the ambient group: one entry per coordinate, 0 for a
     free coordinate and m >= 2 for a Z/m coordinate.
     """
-    if not basis:
-        return all(
-            (x == 0) if mmod == 0 else (x % mmod == 0) for x, mmod in zip(v, moduli)
-        )
-    A = IntMatrix.from_cols(list(basis))
+    A = IntMatrix.from_cols(list(basis), len(v))
     return solve_with_moduli(A, moduli, list(v)) is not None
-
-
-def lattice_equal(
-    basis1: Sequence[Sequence[int]],
-    basis2: Sequence[Sequence[int]],
-    moduli: Sequence[int],
-) -> bool:
-    return all(in_sublattice(v, basis2, moduli) for v in basis1) and all(
-        in_sublattice(v, basis1, moduli) for v in basis2
-    )
 
 
 def hnf_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
@@ -320,10 +314,10 @@ def hnf_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
     rows dropped — the deterministic serialization used everywhere.
     """
     rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return []
     r = 0
     for col in range(ncols):
+        if r == len(rows):  # every row has its pivot: no column left to clear
+            break
         # find a row with nonzero entry in this column at or below r
         piv = None
         for i in range(r, len(rows)):

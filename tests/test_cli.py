@@ -241,6 +241,58 @@ def test_check_text_shows_intermediates(monkeypatch, capsys):
     assert lines[lines.index("kernel of iota basis:") + 1] == "  2ϖ1 − 2ϖ3"
 
 
+_ZERO_CODOMAIN = {
+    "mode": "general",
+    "group": [{"family": "A", "rank": 2}],
+    "pi_L": [],
+    "char_space_K": {"free_rank": 2},
+    "omega_bar": {"1": [1, 0], "2": [0, 1]},
+    "codomain": {"free_rank": 0},
+    "iota": [],
+}
+
+
+@pytest.mark.parametrize(
+    "mode,keys",
+    [("check", ["kernel_iota", "lambda_basis"]), ("general", ["lambda_basis"])],
+    ids=["check", "general"],
+)
+def test_zero_dimensional_codomain(mode, keys, monkeypatch, capsys):
+    """With S trivial, as for the horospherical G/U, iota maps onto the zero
+    group: its kernel and the weight lattice are all of X(T)."""
+    code, out = _run_in_process([mode], monkeypatch, capsys, json.dumps(_ZERO_CODOMAIN))
+    assert code == 0
+    doc = json.loads(out)
+    for key in keys:
+        assert doc[key] == [[1, 0], [0, 1]]
+
+
+_NO_XI3_EQUATIONS = {
+    "mode": "general",
+    "group": [{"family": "A", "rank": 1}],
+    "pi_L": [1],
+    "char_space_K": {"free_rank": 1},
+    "omega_bar": {},
+    "codomain": {"free_rank": 1},
+    "iota": [[1]],
+    "xi2_prime": [{"lambda_L": [0], "chi": [1]}],
+    "xi3_prime": [{"mu": [2]}],
+}
+
+
+def test_xi3_system_without_equations_is_not_unique(monkeypatch, capsys):
+    """Pi12 is empty, so the third-family system has no equations: adding the
+    second-family generator (0, e1) to a solution leaves it solved."""
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(_NO_XI3_EQUATIONS)))
+    assert run(["general"]) == 3
+    assert "positive-dimensional" in capsys.readouterr().err
+    doc = dict(_NO_XI3_EQUATIONS, unique_expected=False)
+    code, out = _run_in_process(["general"], monkeypatch, capsys, json.dumps(doc))
+    assert code == 4
+    (entry,) = json.loads(out)["nonunique"]["entries"]
+    assert entry["homogeneous"] == [[1]]
+
+
 def test_unknown_mode_rejected():
     proc = run_cli(["roots"], stdin='{"mode": "nonsense"}')
     assert proc.returncode == 2

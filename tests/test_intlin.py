@@ -16,7 +16,6 @@ from ewm.intlin import (
     hnf_rows,
     in_sublattice,
     kernel_with_moduli,
-    lattice_equal,
     mat_vec,
     smith_normal_form,
     solve_with_moduli,
@@ -26,11 +25,10 @@ from ewm.rootsys import CartanType, RootVec, build_root_system
 from ewm.solvable import SolvableDatum, f_set
 
 
-def matmul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
+def matmul(A, B, cols):
+    """The product of row lists A and B, where B has `cols` columns (and may
+    have no rows)."""
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in A]
 
 
 def det(rows):
@@ -51,12 +49,17 @@ def det(rows):
     return d
 
 
+EMPTY_SHAPES = [(0, 0), (0, 3), (2, 0)]
+
+
 def check_snf_contract(A):
     U, D, V = smith_normal_form(A)
+    m, n = A.rows, A.cols
+    assert [(U.rows, U.cols), (D.rows, D.cols), (V.rows, V.cols)] == [(m, m), (m, n), (n, n)]
     Ue = [list(r) for r in U.entries]
     De = [list(r) for r in D.entries]
     Ve = [list(r) for r in V.entries]
-    assert matmul(matmul(Ue, [list(r) for r in A.entries]), Ve) == De
+    assert matmul(matmul(Ue, [list(r) for r in A.entries], n), Ve, n) == De
     assert abs(det(Ue)) == 1
     assert abs(det(Ve)) == 1
     diag = [De[i][i] for i in range(min(A.rows, A.cols))]
@@ -107,6 +110,16 @@ def test_snf_nonsquare():
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         )
         check_snf_contract(A)
+    for m, n in EMPTY_SHAPES:
+        check_snf_contract(IntMatrix.from_rows([[0] * n] * m, n))
+
+
+def test_empty_matrices_keep_their_shape():
+    assert (IntMatrix.from_rows([], 3).rows, IntMatrix.from_rows([], 3).cols) == (0, 3)
+    assert (IntMatrix.from_cols([], 2).rows, IntMatrix.from_cols([], 2).cols) == (2, 0)
+    assert IntMatrix.from_cols([(), ()]) == IntMatrix.from_rows([], 2)
+    assert IntMatrix.from_cols([(1, 2, 3)]) == IntMatrix.from_rows([[1], [2], [3]])
+    assert IntMatrix.from_rows([], 3) != IntMatrix.from_rows([], 2)
 
 
 @pytest.mark.parametrize("x", [(1,), (1, 2, 3)], ids=["short", "long"])
@@ -115,16 +128,17 @@ def test_mat_vec_rejects_length_mismatch(x):
         mat_vec(IntMatrix.from_rows([[1, 2], [3, 4]]), x)
 
 
-def test_mat_vec_zero_rows_takes_any_vector():
-    """A map into a codomain of dimension 0 has no column count to check."""
-    assert mat_vec(IntMatrix(()), (1, 2, 3)) == ()
-    assert mat_vec(IntMatrix(()), ()) == ()
+def test_mat_vec_zero_rows_checks_length():
+    """A 0 x 3 matrix, a map into the zero group, still has 3 columns."""
+    assert mat_vec(IntMatrix.from_rows([], 3), (1, 2, 3)) == ()
+    with pytest.raises(SchemaError, match="vector has 2 entries for 3 columns"):
+        mat_vec(IntMatrix.from_rows([], 3), (1, 2))
 
 
 def test_kernel_sl6():
     iota = IntMatrix.from_rows([[1, 1, 1, 0, 0], [0, 1, 1, 1, 0], [0, 0, 1, 1, 1]])
     basis = kernel_with_moduli(iota, [0, 0, 0])
-    assert lattice_equal(basis, [(1, 0, -1, 1, 0), (0, 1, -1, 0, 1)], [0] * 5)
+    assert hnf_rows(basis, 5) == hnf_rows([(1, 0, -1, 1, 0), (0, 1, -1, 0, 1)], 5)
     for v in basis:
         assert mat_vec(iota, v) == (0, 0, 0)
 
@@ -132,7 +146,7 @@ def test_kernel_sl6():
 def test_kernel_so7_with_torsion():
     iota = IntMatrix.from_rows([[1, 2, 1], [1, 1, 1], [0, 0, 1]])
     basis = kernel_with_moduli(iota, [0, 0, 2])
-    assert lattice_equal(basis, [(2, 0, -2)], [0, 0, 0])
+    assert hnf_rows(basis, 3) == hnf_rows([(2, 0, -2)], 3)
     for v in basis:
         img = mat_vec(iota, v)
         assert img[0] == 0 and img[1] == 0 and img[2] % 2 == 0
@@ -143,12 +157,19 @@ def test_kernel_identity_empty():
     assert kernel_with_moduli(ident, [0, 0]) == []
 
 
+def test_kernel_of_zero_rows_is_identity():
+    """The kernel of a map into the zero group is everything."""
+    for n in range(4):
+        ident = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert kernel_with_moduli(IntMatrix.from_rows([], n), []) == ident
+
+
 def test_kernel_rank_nullity():
     rng = random.Random(5)
-    for _ in range(25):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
+    shapes = ((rng.randint(1, 4), rng.randint(1, 5)) for _ in range(25))
+    for m, n in itertools.chain(shapes, EMPTY_SHAPES):
         A = IntMatrix.from_rows(
-            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], n
         )
         ker = kernel_with_moduli(A, [0] * m)
         _, D, _ = smith_normal_form(A)
@@ -237,9 +258,9 @@ def test_in_sublattice_trivial_cases():
     assert not in_sublattice((1, 0), [], [0, 0])
 
 
-def test_lattice_equal_examples():
-    assert lattice_equal([(1, 0), (0, 1)], [(1, 1), (0, 1)], [0, 0])
-    assert not lattice_equal([(2, 0), (0, 1)], [(1, 0), (0, 1)], [0, 0])
+def test_hnf_rows_decides_lattice_equality():
+    assert hnf_rows([(1, 0), (0, 1)], 2) == hnf_rows([(1, 1), (0, 1)], 2)
+    assert hnf_rows([(2, 0), (0, 1)], 2) != hnf_rows([(1, 0), (0, 1)], 2)
 
 
 def test_hnf_rows_canonical():
@@ -247,7 +268,10 @@ def test_hnf_rows_canonical():
     b1 = hnf_rows([(1, 2, 3), (4, 5, 6)], 3)
     b2 = hnf_rows([(5, 7, 9), (4, 5, 6), (1, 2, 3)], 3)
     assert b1 == b2
-    assert lattice_equal(b1, [(1, 2, 3), (4, 5, 6)], [0, 0, 0])
+    # the canonical basis spans the lattice of its generators, checked by solves
+    gens = [(1, 2, 3), (4, 5, 6)]
+    assert all(in_sublattice(v, gens, [0, 0, 0]) for v in b1)
+    assert all(in_sublattice(v, b1, [0, 0, 0]) for v in gens)
 
 
 def test_char_space_reduction():
@@ -280,11 +304,14 @@ def _sl3_solvable(*active):
          SchemaError),
         (lambda: solve_with_moduli(IntMatrix.from_rows([[1, 2]]), [0], [1, 2]),
          SchemaError),
+        (lambda: IntMatrix.from_rows([]), SchemaError),
+        (lambda: IntMatrix.from_cols([]), SchemaError),
         (lambda: _sl3_solvable((1, 0), (1, -1)), SchemaError),
         (lambda: f_set(_sl3_solvable((1, 0), (1, 1)), RootVec((0, 1))), PiMapError),
     ],
     ids=["modulus-1", "charvec-length", "add-across-spaces", "sub-across-spaces",
-         "moduli-length", "rhs-length", "active-not-positive", "f-set-inactive"],
+         "moduli-length", "rhs-length", "rows-without-cols", "cols-without-rows",
+         "active-not-positive", "f-set-inactive"],
 )
 def test_invariants_raise_typed_errors(call, error):
     with pytest.raises(error):
