@@ -9,6 +9,7 @@ Lie-algebra half of the simple-spherical-root sufficient test.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -75,18 +76,6 @@ def _is_root(norm2: dict, r: Root) -> bool:
     return r in norm2 or _neg(r) in norm2
 
 
-def _string_down(norm2: dict, beta: Root, alpha: Root) -> int:
-    """Largest p with beta - p*alpha still a root."""
-    p = 0
-    cur = tuple(b - a for b, a in zip(beta, alpha))
-    while _is_root(norm2, cur):
-        if all(c == 0 for c in cur):
-            break
-        p += 1
-        cur = tuple(c - a for c, a in zip(cur, alpha))
-    return p
-
-
 def N(table: dict, norm2: dict, a: Root, b: Root) -> int:
     """Structure constant N_{a,b} for roots of any sign, reduced to the
     positive-pair table; `norm2` holds the squared length of each positive
@@ -121,17 +110,16 @@ def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
     }
     table: dict[tuple[Root, Root], int] = {}
 
-    for delta in pos:
-        if sum(delta) == 1:
-            continue
-        pairs = [
-            (x, tuple(d - v for d, v in zip(delta, x)))
-            for x in pos
-            if tuple(d - v for d, v in zip(delta, x)) in norm2
-        ]
-        # extraspecial pair: minimal alpha (in root order) with delta-alpha positive
+    for delta in pos[n:]:  # the non-simple roots
+        pairs = [(x.coeffs, tuple(map(operator.sub, delta, x.coeffs)))
+                 for x in rs.summands(delta)]
+        # extraspecial pair: the first summand, a simple alpha; its constant is
+        # p + 1 for the alpha-string beta, beta - alpha, ..., beta - p*alpha
         alpha, beta = pairs[0]
-        table[(alpha, beta)] = _string_down(norm2, beta, alpha) + 1
+        p, cur = 0, tuple(map(operator.sub, beta, alpha))
+        while cur in norm2:
+            p, cur = p + 1, tuple(map(operator.sub, cur, alpha))
+        table[(alpha, beta)] = p + 1
         # remaining pairs summing to delta, via the Jacobi identity with -alpha
         m_alpha = _neg(alpha)
         n_delta_malpha = N(table, norm2, delta, m_alpha)

@@ -55,6 +55,8 @@ class IntMatrix:
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         """The matrix with these rows; `cols` is required when there are none."""
         entries = tuple(map(tuple, rows))
+        if len(set(map(len, entries))) > 1:
+            raise SchemaError(f"ragged matrix: vectors of lengths {[*map(len, entries)]}")
         if entries:
             cols = len(entries[0])
         elif cols is None:

@@ -6,12 +6,15 @@ Simple roots follow the Bourbaki labelling per factor, factors concatenated in
 input order.  Positive roots are generated one height at a time from the
 Cartan matrix alone, each root carrying its pairings and a_i-string depths, so
 one code path covers the exceptional types; they are ordered by (height,
-coordinates) for reproducible output.
+coordinates) for reproducible output.  `RootSystem.coords` and
+`RootSystem.summands` are the one place that tests positive-root membership
+and lists the two-part splits delta = beta + gamma of a positive root.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,12 +71,6 @@ class RootVec:
 
     coeffs: tuple[int, ...]
 
-    def __add__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     @property
     def height(self) -> int:
         return sum(self.coeffs)
@@ -108,6 +105,22 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.ctype.rank
+
+    @functools.cached_property
+    def coords(self) -> frozenset[tuple[int, ...]]:
+        """Positive-root coordinate tuples, built once per cached system."""
+        return frozenset(r.coeffs for r in self.pos_roots)
+
+    def summands(self, delta: Sequence[int]) -> list[RootVec]:
+        """The positive roots beta with delta - beta positive, in `pos_roots`
+        order; the height-sorted scan stops at ht(delta)."""
+        top, coords, out = sum(delta), self.coords, []
+        for beta in self.pos_roots:
+            if sum(beta.coeffs) >= top:
+                break
+            if tuple(map(operator.sub, delta, beta.coeffs)) in coords:
+                out.append(beta)
+        return out
 
 
 def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:

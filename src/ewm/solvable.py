@@ -34,7 +34,7 @@ class SolvableDatum:
     def __post_init__(self):
         seen: set[RootVec] = set()
         for k, r in enumerate(self.active_roots):
-            if r not in self.pos_set:
+            if r.coeffs not in self.rs.coords:
                 raise SchemaError(f"{list(r.coeffs)} is not a positive root",
                                   f"/active_roots/{k}")
             if r in seen:
@@ -48,11 +48,6 @@ class SolvableDatum:
 
     # Derivations kept in the instance __dict__ on first read, as on
     # GeneralDatum: fields alone decide `==` and `hash`.
-
-    @cached_property
-    def pos_set(self) -> frozenset[RootVec]:
-        """The positive roots, for membership tests."""
-        return frozenset(self.rs.pos_roots)
 
     @cached_property
     def pi_map(self) -> dict[RootVec, int]:
@@ -95,7 +90,7 @@ def pi_map(d: SolvableDatum) -> dict[RootVec, int]:
     psi = set(d.active_roots)
     out: dict[RootVec, int] = {}
     for alpha in d.active_roots:
-        decomps = [beta for beta in d.rs.pos_roots if alpha - beta in d.pos_set]
+        decomps = d.rs.summands(alpha.coeffs)
         candidates = [
             delta for delta in sorted(supp(alpha))
             if all((beta in psi) == (delta not in supp(beta)) for beta in decomps)
@@ -113,8 +108,8 @@ def f_set(d: SolvableDatum, beta: RootVec) -> list[RootVec]:
     """The active root itself plus every active root subtractable from it."""
     if beta not in d.active_roots:
         raise PiMapError(f"F({beta.coeffs}) is defined only for active roots")
-    return [beta] + [gamma for gamma in d.active_roots
-                     if gamma != beta and (beta - gamma) in d.pos_set]
+    split = set(d.rs.summands(beta.coeffs))
+    return [beta] + [gamma for gamma in d.active_roots if gamma in split]
 
 
 def validate_pi(d: SolvableDatum) -> list[RootVec]:

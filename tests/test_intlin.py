@@ -122,6 +122,15 @@ def test_empty_matrices_keep_their_shape():
     assert IntMatrix.from_rows([], 3) != IntMatrix.from_rows([], 2)
 
 
+@pytest.mark.parametrize("build", [IntMatrix.from_rows, IntMatrix.from_cols],
+                         ids=["from_rows", "from_cols"])
+def test_ragged_vectors_rejected(build):
+    """Rows (or columns) of different lengths are an error, not a matrix cut
+    to the first row's length or padded by a later computation."""
+    with pytest.raises(SchemaError, match=r"ragged matrix: vectors of lengths \[2, 1\]"):
+        build([[1, 2], [3]])
+
+
 @pytest.mark.parametrize("x", [(1,), (1, 2, 3)], ids=["short", "long"])
 def test_mat_vec_rejects_length_mismatch(x):
     with pytest.raises(SchemaError, match="vector has"):

@@ -64,14 +64,15 @@ PRODUCT_TYPES = [
     (("E", 8), ("A", 1)),
     (("D", 5), ("B", 3), ("C", 2)),
 ]
-
-
-@pytest.mark.parametrize(
+EACH_TYPE = pytest.mark.parametrize(
     "factors",
     [(t,) for t in ALL_TYPES] + PRODUCT_TYPES,
     ids=[f"{f}-{n}" for f, n in ALL_TYPES]
     + ["x".join(f"{f}{n}" for f, n in t) for t in PRODUCT_TYPES],
 )
+
+
+@EACH_TYPE
 def test_positive_roots_match_reflection_oracle(factors):
     """Same roots as the reflection orbit, in (height, coordinates) order."""
     rs = build_root_system(CartanType(factors))
@@ -148,6 +149,18 @@ def test_root_to_weight_examples():
     assert root_to_weight(b3, RootVec((1, 0, -1))).coeffs == (2, 0, -2)
 
 
+@EACH_TYPE
+def test_summands_match_brute_force(factors):
+    """`summands` lists, in root order, exactly the positive roots beta whose
+    difference delta - beta is a positive root, as a scan of all pairs finds."""
+    rs = build_root_system(CartanType(factors))
+    pos = [r.coeffs for r in rs.pos_roots]
+    assert rs.coords == set(pos)
+    for delta in pos:
+        expected = [b for b in pos if tuple(x - y for x, y in zip(delta, b)) in rs.coords]
+        assert [b.coeffs for b in rs.summands(delta)] == expected
+
+
 def test_supp_and_wsupp():
     assert supp(RootVec((1, 1))) == {0, 1}
     assert wsupp(WeightVec((1, 0, 1, 0, 1))) == {0, 2, 4}
@@ -164,17 +177,16 @@ def test_root_string_consistency(family, n):
     rs = build_root_system(CartanType(((family, n),)))
     pos = {r.coeffs for r in rs.pos_roots}
     roots = pos | {tuple(-c for c in r) for r in pos}
-    simples = [RootVec(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    for beta in rs.pos_roots:
-        for i, alpha in enumerate(simples):
-            pairing = sum(rs.cartan[i][j] * beta.coeffs[j] for j in range(n))
+    for beta in pos:
+        for i in range(n):
+            pairing = sum(rs.cartan[i][j] * beta[j] for j in range(n))
             p = 0
-            cur = beta - alpha
-            while cur.coeffs in roots:
+            cur = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            while cur in roots:
                 p += 1
-                cur = cur - alpha
+                cur = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
             q = p - pairing
-            assert ((beta + alpha).coeffs in roots) == (q > 0)
+            assert (beta[:i] + (beta[i] + 1,) + beta[i + 1:] in roots) == (q > 0)
 
 
 def test_deterministic_ordering():

@@ -2,6 +2,7 @@
 form for the generators, and agreement with the general pipeline."""
 
 import dataclasses
+import itertools
 import re
 
 import pytest
@@ -65,15 +66,17 @@ class TestDerivedOnce:
             n0.active_roots, key=lambda r: r.coeffs)
 
     def test_members_are_lazy_and_leave_equality_alone(self, n0):
-        """Construction derives only the root set its check reads, so a
-        parsed datum holds no pipeline work yet."""
+        """Construction caches nothing on the datum: the root set its check
+        reads lives on the shared root system, so a parsed datum holds no
+        pipeline work yet."""
         before = hash(n0)
         solvable_monoid(n0)
         fresh = dataclasses.replace(n0)
         assert hash(n0) == before == hash(fresh)
         assert n0 == fresh
         fields = {f.name for f in dataclasses.fields(fresh)}
-        assert set(vars(fresh)) - fields == {"pos_set"}
+        assert set(vars(fresh)) - fields == set()
+        assert "coords" in vars(fresh.rs)
 
 
 class TestPiMap:
@@ -182,6 +185,21 @@ class TestMonoid:
             result = solvable_monoid(d)
             assert len(result.generators) == d.rank + len(result.phi)
 
+    def test_a64_every_simple_root_active(self):
+        """At rank 64 the closed form still gives the rank formula, with pi the
+        identity on the simple roots."""
+        n = 64
+        rs = build_root_system(CartanType((("A", n),)))
+        d = SolvableDatum(
+            rs=rs,
+            active_roots=rs.pos_roots[:n],
+            codomain=CharSpace(n),
+            iota=IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]),
+        )
+        result = solvable_monoid(d)
+        assert {r.coeffs.index(1): i for r, i in d.pi_map.items()} == {i: i for i in range(n)}
+        assert len(result.generators) == n + len(result.phi) == 2 * n
+
 
 class TestMultiElementFiber:
     """Synthetic case: non-injective restriction merges two active roots into
@@ -226,3 +244,55 @@ class TestGeneralAgreement:
         general = compute_monoid(to_general(d))
         assert pairs(solved.generators) == pairs(general.generators)
         assert set(general.sigma_used) == set(solved.sigma)
+
+
+def _support(r):
+    return {i for i, c in enumerate(r) if c}
+
+
+def _full_scan(rs, active):
+    """The pi map and the F-set violations by subtracting every positive root
+    from every active root: the reference for `RootSystem.summands`."""
+    pos = {r.coeffs for r in rs.pos_roots}
+    psi = [r.coeffs for r in active]
+
+    def splits(delta):
+        return [b for b in (r.coeffs for r in rs.pos_roots)
+                if tuple(x - y for x, y in zip(delta, b)) in pos]
+
+    pm = {}
+    for alpha in psi:
+        candidates = [delta for delta in sorted(_support(alpha))
+                      if all((b in psi) == (delta not in _support(b)) for b in splits(alpha))]
+        if len(candidates) != 1:
+            raise PiMapError(f"active root {alpha} has {len(candidates)} candidate "
+                             "distinguished simple roots; the datum is not spherical")
+        pm[alpha] = candidates[0]
+    bad = []
+    for beta in psi:
+        image = [pm[beta]] + [pm[g] for g in psi if g in splits(beta)]
+        if len(set(image)) != len(image) or set(image) != _support(beta):
+            bad.append(beta)
+    return pm, bad
+
+
+class TestAgainstFullScan:
+    @pytest.mark.parametrize("family,n", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
+                                          ("C", 3)])
+    def test_every_active_subset(self, family, n):
+        """pi_map and validate_pi agree with the full scan, errors included,
+        on every non-empty set of active roots."""
+        rs = build_root_system(CartanType(((family, n),)))
+        eye = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+        for k in range(1, len(rs.pos_roots) + 1):
+            for active in itertools.combinations(rs.pos_roots, k):
+                d = SolvableDatum(rs=rs, active_roots=active, codomain=CharSpace(n), iota=eye)
+                try:
+                    expected = _full_scan(rs, active)
+                except PiMapError as err:
+                    with pytest.raises(PiMapError, match=re.escape(str(err))):
+                        validate_pi(d)
+                    continue
+                assert ({r.coeffs: i for r, i in d.pi_map.items()},
+                        [r.coeffs for r in validate_pi(d)]) == expected
+

@@ -3,7 +3,7 @@ imports nothing outside the standard library, it states no invariant as an
 `assert`, which `python -O` would strip, it never asks `json` for indented
 output, which CPython writes with its pure-Python encoder, each module
 binds every name its `__all__` exports, and every function the benchmark's
-stage trace wraps by name still exists."""
+stage trace wraps by name, or imports from `ewm`, still exists."""
 
 import ast
 import sys
@@ -87,4 +87,19 @@ def test_traced_functions_are_defined():
     missing = [(module, name) for module, names in wrapped.items()
                for name in names
                if name not in _bound_names(_tree(ROOT / "src" / f"{module.replace('.', '/')}.py"))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "perfbench").glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_imports_are_bound(path):
+    """Every name the benchmark imports from `ewm.*` is still bound there, so
+    an API cut fails here instead of inside a benchmark run."""
+    missing = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("ewm"):
+            module = ROOT / "src" / f"{node.module.replace('.', '/')}.py"
+            if node.module == "ewm":
+                module = ROOT / "src" / "ewm" / "__init__.py"
+            missing += [(node.module, a.name) for a in node.names
+                        if not module.exists() or a.name not in _bound_names(_tree(module))]
     assert missing == []
