@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import EwmError, GeneratorsOutsideAmbient
+from .errors import EwmError, GeneratorsOutsideAmbient, SchemaError
 from .rootsys import RootSystem
 
 __all__ = [
@@ -34,13 +34,14 @@ Key = tuple[str, object]  # ("e", root) or ("h", index)
 
 @dataclass(frozen=True)
 class AlgVec:
-    """Sparse element of the algebra; keys are basis labels, values Fractions."""
+    """Sparse element of the algebra; keys are basis labels, values exact
+    rationals, held as ints until a division makes them Fractions."""
 
-    items: tuple[tuple[Key, Fraction], ...]
+    items: tuple[tuple[Key, int | Fraction], ...]
 
     @staticmethod
     def make(d: dict) -> "AlgVec":
-        return AlgVec(tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0)))
+        return AlgVec(tuple(sorted(filter(operator.itemgetter(1), d.items()))))
 
     def as_dict(self) -> dict:
         return dict(self.items)
@@ -55,7 +56,7 @@ class AlgVec:
         return AlgVec.make(d)
 
     def scale(self, c) -> "AlgVec":
-        return AlgVec.make({k: Fraction(c) * v for k, v in self.items})
+        return AlgVec.make({k: c * v for k, v in self.items})
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,73 +70,69 @@ class ChevalleyAlgebra:
 
 
 def _neg(r: Root) -> Root:
-    return tuple(-c for c in r)
-
-
-def _is_root(norm2: dict, r: Root) -> bool:
-    return r in norm2 or _neg(r) in norm2
+    return tuple(map(operator.neg, r))
 
 
 def N(table: dict, norm2: dict, a: Root, b: Root) -> int:
     """Structure constant N_{a,b} for roots of any sign, reduced to the
     positive-pair table; `norm2` holds the squared length of each positive
     root and doubles as the positive-root set.  The norm ratios divide
-    exactly, since every structure constant is an integer."""
-    s = tuple(x + y for x, y in zip(a, b))
-    if not _is_root(norm2, s):
-        return 0
-    a_pos = a in norm2
-    b_pos = b in norm2
-    if a_pos and b_pos:
-        return table[(a, b)] if (a, b) in table else -table[(b, a)]
+    exactly, since every structure constant is an integer.  It is 0 exactly
+    when a + b is not a root."""
+    a_pos, b_pos = a in norm2, b in norm2
+    if a_pos and b_pos:  # the table holds every positive pair with a root sum
+        return table[(a, b)] if (a, b) in table else -table.get((b, a), 0)
     if not a_pos and not b_pos:
         return -N(table, norm2, _neg(a), _neg(b))
-    if not a_pos:  # a = -u, b = v, both u, v positive
-        u = _neg(a)
-        if s in norm2:  # v - u is a positive root
-            return N(table, norm2, u, s) * norm2[s] // norm2[b]
-        # u - v is a positive root: N(-u, v) = N(-v, u)
-        w = _neg(s)
+    if a_pos:
+        return -N(table, norm2, b, a)
+    u, s = _neg(a), tuple(map(operator.add, a, b))  # a = -u, b = v, s = v - u
+    if s in norm2:  # v - u is a positive root
+        return N(table, norm2, u, s) * norm2[s] // norm2[b]
+    w = _neg(s)
+    if w in norm2:  # u - v is a positive root: N(-u, v) = N(-v, u)
         return N(table, norm2, b, w) * norm2[w] // norm2[u]
-    return -N(table, norm2, b, a)
+    return 0
 
 
 def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
     """Fill the positive-pair structure-constant table by height recursion."""
     pos = [r.coeffs for r in rs.pos_roots]  # already (height, lex) sorted
     n = rs.rank
-    norm2 = {
-        r: sum(r[i] * rs.sym[i] * rs.cartan[i][j] * r[j] for i in range(n) for j in range(n))
-        for r in pos
-    }
+    # squared length r.(DC)r, with DC the symmetrized Cartan matrix
+    dc = [tuple(d * c for c in row) for d, row in zip(rs.sym, rs.cartan)]
+    norm2 = {r: sum(map(operator.mul, r, [sum(map(operator.mul, row, r)) for row in dc]))
+             for r in pos}
     table: dict[tuple[Root, Root], int] = {}
 
     for delta in pos[n:]:  # the non-simple roots
-        pairs = [(x.coeffs, tuple(map(operator.sub, delta, x.coeffs)))
-                 for x in rs.summands(delta)]
+        split = [x.coeffs for x in rs.summands(delta)]
         # extraspecial pair: the first summand, a simple alpha; its constant is
         # p + 1 for the alpha-string beta, beta - alpha, ..., beta - p*alpha
-        alpha, beta = pairs[0]
+        alpha = split[0]
+        beta = tuple(map(operator.sub, delta, alpha))
         p, cur = 0, tuple(map(operator.sub, beta, alpha))
         while cur in norm2:
             p, cur = p + 1, tuple(map(operator.sub, cur, alpha))
         table[(alpha, beta)] = p + 1
-        # remaining pairs summing to delta, via the Jacobi identity with -alpha
-        m_alpha = _neg(alpha)
-        n_delta_malpha = N(table, norm2, delta, m_alpha)
-        for xi, eta in pairs:
-            if xi == alpha or eta == alpha:
-                continue
-            if (xi, eta) in table or (eta, xi) in table:
-                continue
+        # The other pairs, via the Jacobi identity with e_-alpha.  For positive
+        # gamma, N(-alpha, gamma) = N(alpha, gamma - alpha) |gamma - alpha|^2 /
+        # |gamma|^2, so every constant read is a positive pair of lower height.
+        # `split` lists xi and delta - xi in mirrored order, so its first half
+        # holds each unordered pair once, with (alpha, beta) in front.
+        q = (p + 1) * norm2[beta] // norm2[delta]  # N(-alpha, delta)
+        for xi in split[1:len(split) // 2]:
+            eta = tuple(map(operator.sub, delta, xi))
             acc = 0
-            xi_m = tuple(x - a for x, a in zip(xi, alpha))
-            if _is_root(norm2, xi_m):
-                acc += N(table, norm2, m_alpha, xi) * N(table, norm2, xi_m, eta)
-            eta_m = tuple(x - a for x, a in zip(eta, alpha))
-            if _is_root(norm2, eta_m):
-                acc += N(table, norm2, eta, m_alpha) * N(table, norm2, eta_m, xi)
-            val, rem = divmod(-acc, n_delta_malpha)
+            xi_m = tuple(map(operator.sub, xi, alpha))
+            if xi_m in norm2:
+                acc += (N(table, norm2, alpha, xi_m) * norm2[xi_m] // norm2[xi]
+                        * N(table, norm2, xi_m, eta))
+            eta_m = tuple(map(operator.sub, eta, alpha))
+            if eta_m in norm2:
+                acc -= (N(table, norm2, alpha, eta_m) * norm2[eta_m] // norm2[eta]
+                        * N(table, norm2, eta_m, xi))
+            val, rem = divmod(acc, q)
             if rem:
                 raise EwmError(f"structure constant N{xi},{eta} is not an integer")
             table[(xi, eta)] = val
@@ -143,23 +140,23 @@ def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:
 
 
 def root_vector(alg: ChevalleyAlgebra, r: Sequence[int]) -> AlgVec:
-    return AlgVec.make({("e", tuple(r)): Fraction(1)})
+    """e_r for a root r of any sign; anything else is rejected."""
+    r = tuple(r)
+    if r not in alg.norm2 and _neg(r) not in alg.norm2:
+        raise SchemaError(f"{list(r)} is not a root of {alg.rs.ctype}")
+    return AlgVec(((("e", r), 1),))
 
 
 def _bracket_basis(alg: ChevalleyAlgebra, a: Key, b: Key) -> dict:
     """[a, b] for two basis labels, as plain {label: coefficient} terms."""
     rs = alg.rs
-    ka, kb = a[0], b[0]
-    if ka == "h" and kb == "h":
-        return {}
-    if ka == "h" and kb == "e":
-        beta = b[1]
-        return {b: sum(rs.cartan[a[1]][j] * beta[j] for j in range(rs.rank))}
-    if ka == "e" and kb == "h":
-        return {k: -v for k, v in _bracket_basis(alg, b, a).items()}
+    if a[0] == "h":  # [h_i, e_beta] = <beta, a_i^vee> e_beta
+        return {} if b[0] == "h" else {b: sum(map(operator.mul, rs.cartan[a[1]], b[1]))}
+    if b[0] == "h":
+        return {a: -sum(map(operator.mul, rs.cartan[b[1]], a[1]))}
     beta, gamma = a[1], b[1]
-    s = tuple(p + q for p, q in zip(beta, gamma))
-    if all(c == 0 for c in s):
+    s = tuple(map(operator.add, beta, gamma))
+    if not any(s):
         # [e_beta, e_-beta] = h_beta = sum_j beta_j d_j / d_beta * h_j, beta > 0,
         # with d_beta = norm2[beta] / 2; each coefficient is an integer
         sign = 1 if beta in alg.norm2 else -1
@@ -167,9 +164,9 @@ def _bracket_basis(alg: ChevalleyAlgebra, a: Key, b: Key) -> dict:
         n2 = alg.norm2[bpos]
         return {("h", j): Fraction(2 * sign * bpos[j] * rs.sym[j], n2)
                 for j in range(rs.rank)}
-    if _is_root(alg.norm2, s):
-        return {("e", s): N(alg.table, alg.norm2, beta, gamma)}
-    return {}
+    if s not in alg.norm2 and _neg(s) not in alg.norm2:  # the common zero, before N
+        return {}
+    return {("e", s): N(alg.table, alg.norm2, beta, gamma)}
 
 
 def bracket(alg: ChevalleyAlgebra, x: AlgVec, y: AlgVec) -> AlgVec:
@@ -183,8 +180,9 @@ def bracket(alg: ChevalleyAlgebra, x: AlgVec, y: AlgVec) -> AlgVec:
 
 
 class _Span:
-    """Incremental echelon span of sparse vectors {basis label: Fraction};
-    each row is scaled to 1 at its pivot, its smallest label."""
+    """Incremental echelon span of sparse vectors {basis label: coefficient};
+    each row is scaled to 1 at its pivot, its smallest label, so a row holds
+    Fractions only once a pivot other than 1 has been inverted."""
 
     def __init__(self):
         self.rows: list[tuple[Key, dict]] = []
@@ -209,8 +207,10 @@ class _Span:
         if not v:
             return False
         p = min(v)
-        inv = 1 / v[p]
-        self.rows.append((p, {k: x * inv for k, x in v.items()}))
+        if v[p] != 1:
+            inv = Fraction(1, v[p])
+            v = {k: x * inv for k, x in v.items()}
+        self.rows.append((p, v))
         return True
 
 

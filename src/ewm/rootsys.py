@@ -13,6 +13,7 @@ and lists the two-part splits delta = beta + gamma of a positive root.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass
@@ -113,14 +114,11 @@ class RootSystem:
 
     def summands(self, delta: Sequence[int]) -> list[RootVec]:
         """The positive roots beta with delta - beta positive, in `pos_roots`
-        order; the height-sorted scan stops at ht(delta)."""
-        top, coords, out = sum(delta), self.coords, []
-        for beta in self.pos_roots:
-            if sum(beta.coeffs) >= top:
-                break
-            if tuple(map(operator.sub, delta, beta.coeffs)) in coords:
-                out.append(beta)
-        return out
+        order; one bisection on height bounds the scan below ht(delta)."""
+        coords = self.coords
+        top = bisect.bisect_left(self.pos_roots, sum(delta), key=lambda r: r.height)
+        return [beta for beta in self.pos_roots[:top]
+                if tuple(map(operator.sub, delta, beta.coeffs)) in coords]
 
 
 def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:

@@ -2,6 +2,7 @@
 magnitude law, grading, and the subspace machinery used by the sufficient
 test."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from ewm.chevalley import (
     is_contained,
     root_vector,
 )
-from ewm.errors import GeneratorsOutsideAmbient
+from ewm.errors import GeneratorsOutsideAmbient, SchemaError
 from ewm.rootsys import CartanType, build_root_system
 
 
@@ -31,6 +32,56 @@ def basis_labels(alg):
     pos = [r.coeffs for r in alg.rs.pos_roots]
     return ([("e", r) for r in pos] + [("e", tuple(-c for c in r)) for r in pos]
             + [("h", i) for i in range(alg.rs.rank)])
+
+
+# First 16 hex digits of the sha256 of
+# repr((sorted(alg.table.items()), sorted(alg.norm2.items()))) for each type:
+# the whole positive-pair table and every squared length, entry for entry.
+TABLE_DIGESTS = {
+    "A1": "e5cbf5916de1cb2a",
+    "A2": "c8dcc4d4a42ff51d",
+    "A3": "bab4cbda57c9a7cf",
+    "A4": "178a1aa01aec6f29",
+    "A5": "7c6b8deb59af95ae",
+    "A6": "80484e4ee27a328b",
+    "A7": "cb6f547230c7ac6c",
+    "A8": "d5c56b30e49fccd1",
+    "B2": "b9eddb7ed3ce581a",
+    "B3": "bb67f37b8d2bcd22",
+    "B4": "156c80d34abf93c5",
+    "B5": "5fe3c3c7e6ce1f2f",
+    "B6": "93825f330159468b",
+    "C2": "cecdea16af3d546f",
+    "C3": "3f6c84d2def938a6",
+    "C4": "f5bcad1f873fabe2",
+    "C5": "f712bc9e21f54519",
+    "C6": "df9a004f7df26841",
+    "D3": "a760cb8be03bd17b",
+    "D4": "9448c89cdb2838a4",
+    "D5": "767645ccfcfa4c3e",
+    "D6": "3f04dba24b1dd1e4",
+    "D7": "13ed0b0120d9199d",
+    "E6": "489a8ba4acf889e9",
+    "E7": "d7b617d974fdf018",
+    "E8": "12400a16535002d4",
+    "F4": "4b3250bd34e17960",
+    "G2": "f211324de521d8bc",
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+def test_whole_table_digest(name):
+    alg = algebra(name[0], int(name[1:]))
+    text = repr((sorted(alg.table.items()), sorted(alg.norm2.items())))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("r", [(1, 0, 1), (0, 0, 0), (1, 0), (1, 1, 1, 0), (2, 0, 0)])
+def test_root_vector_rejects_non_roots(r):
+    """No basis vector of sl4 is labelled by r; brackets and `N` assume that
+    every label is a root, so the label is refused where it enters."""
+    with pytest.raises(SchemaError):
+        root_vector(algebra("A", 3), r)
 
 
 def test_sl2_relations():

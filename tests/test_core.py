@@ -35,11 +35,12 @@ from ewm.errors import (
     MissingOmegaBar,
     SupportClash,
     NoLift,
+    SchemaError,
     UniquenessViolated,
 )
 from ewm.intlin import CharSpace, CharVec, IntMatrix, hnf_rows, smith_normal_form
-from ewm.rootsys import CartanType, WeightVec, build_root_system
-from ewm.solvable import to_general
+from ewm.rootsys import CartanType, RootVec, WeightVec, build_root_system
+from ewm.solvable import SolvableDatum, to_general
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -346,6 +347,52 @@ class TestLieLevel:
         p_u = [root_vector(alg, (0, -1)), root_vector(alg, (-1, -1))]
         verdict = check_sufficient_lie(alg, 1, p_u, p_u, [])
         assert verdict == "NotSpherical"
+
+    @pytest.mark.parametrize("alpha", [3, 7, -1])
+    def test_alpha_outside_the_simple_roots_is_rejected(self, alpha):
+        alg = build_algebra(build_root_system(CartanType((("A", 3),))))
+        p_u = [root_vector(alg, (0, 0, -1))]
+        with pytest.raises(SchemaError):
+            check_sufficient_lie(alg, alpha, p_u, p_u, [])
+
+
+def regular_lie_pair(d: SolvableDatum, alg):
+    """(p_u, h_u) of a regular strongly solvable datum with S = T, for H inside
+    B^-: P = B, so p_u holds every e_-beta, and h_u the e_-beta whose beta is
+    not active.  The Levi of H is T, so s' is empty."""
+    active = {r.coeffs for r in d.active_roots}
+    p_u, h_u = [], []
+    for r in d.rs.pos_roots:
+        v = root_vector(alg, tuple(-c for c in r.coeffs))
+        p_u.append(v)
+        if r.coeffs not in active:
+            h_u.append(v)
+    return p_u, h_u
+
+
+@pytest.mark.parametrize("family,n,alphas", [
+    ("A", 4, None), ("B", 3, None), ("C", 3, None), ("G", 2, None), ("F", 4, None),
+    ("D", 4, None), ("D", 5, None), ("E", 6, None), ("E", 7, None), ("E", 8, (0, 7)),
+])
+def test_sufficient_lie_ground_truth_on_regular_solvable(family, n, alphas):
+    """The ideal of p_u generated by e_-alpha, alpha simple, is spanned by the
+    e_-gamma with alpha in supp gamma.  With the active roots Psi a seeded set
+    of simple roots, it lies in h_u exactly when alpha is not in Psi, which is
+    sigma; otherwise the empty s' makes the verdict Spherical."""
+    rs = build_root_system(CartanType(((family, n),)))
+    rng = random.Random(f"{family}{n}")
+    psi = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+    d = SolvableDatum(
+        rs=rs,
+        active_roots=tuple(RootVec(tuple(int(i == j) for j in range(n))) for i in psi),
+        codomain=CharSpace(free_rank=n),
+        iota=IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]),
+    )
+    alg = build_algebra(rs)
+    p_u, h_u = regular_lie_pair(d, alg)
+    verdicts = {a: check_sufficient_lie(alg, a, p_u, h_u, []) for a in alphas or range(n)}
+    assert verdicts == {a: "Spherical" if a in d.sigma else "NotSpherical" for a in verdicts}
+    assert alphas or len(set(verdicts.values())) == 2
 
 
 class TestLeviKernelHelper:
