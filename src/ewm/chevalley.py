@@ -78,21 +78,25 @@ def N(table: dict, norm2: dict, a: Root, b: Root) -> int:
     positive-pair table; `norm2` holds the squared length of each positive
     root and doubles as the positive-root set.  The norm ratios divide
     exactly, since every structure constant is an integer.  It is 0 exactly
-    when a + b is not a root."""
+    when a + b is not a root; a label that is not a root is refused."""
     a_pos, b_pos = a in norm2, b in norm2
     if a_pos and b_pos:  # the table holds every positive pair with a root sum
         return table[(a, b)] if (a, b) in table else -table.get((b, a), 0)
     if not a_pos and not b_pos:
-        return -N(table, norm2, _neg(a), _neg(b))
-    if a_pos:
-        return -N(table, norm2, b, a)
-    u, s = _neg(a), tuple(map(operator.add, a, b))  # a = -u, b = v, s = v - u
-    if s in norm2:  # v - u is a positive root
-        return N(table, norm2, u, s) * norm2[s] // norm2[b]
-    w = _neg(s)
-    if w in norm2:  # u - v is a positive root: N(-u, v) = N(-v, u)
-        return N(table, norm2, b, w) * norm2[w] // norm2[u]
-    return 0
+        if (na := _neg(a)) in norm2 and (nb := _neg(b)) in norm2:
+            return -N(table, norm2, na, nb)
+    elif a_pos:
+        if _neg(b) in norm2:
+            return -N(table, norm2, b, a)
+    elif (u := _neg(a)) in norm2:
+        s = tuple(map(operator.add, a, b))  # a = -u, b = v, s = v - u
+        if s in norm2:  # v - u is a positive root
+            return N(table, norm2, u, s) * norm2[s] // norm2[b]
+        w = _neg(s)
+        if w in norm2:  # u - v is a positive root: N(-u, v) = N(-v, u)
+            return N(table, norm2, b, w) * norm2[w] // norm2[u]
+        return 0
+    raise SchemaError(f"N{list(a)},{list(b)}: both labels must be roots")
 
 
 def build_algebra(rs: RootSystem) -> ChevalleyAlgebra:

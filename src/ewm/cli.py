@@ -484,19 +484,18 @@ def _run_check(doc: dict) -> _Ran:
     return 0, out, None
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="ewm", description="extended weight monoid of a spherical homogeneous space")
+_PARSER.add_argument("mode", choices=["general", "solvable", "roots", "check"])
+_PARSER.add_argument("--input", default="-", help="input JSON file, - for stdin")
+_PARSER.add_argument("--format", choices=["json", "text"], default="json")
+_PARSER.add_argument("--strict", action="store_true", help="treat warnings as errors")
+_PARSER.add_argument("--allow-nonunique", action="store_true",
+                     help="report a non-unique solution family instead of failing")
+
+
 def run(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ewm",
-        description="extended weight monoid of a spherical homogeneous space",
-    )
-    parser.add_argument("mode", choices=["general", "solvable", "roots", "check"])
-    parser.add_argument("--input", default="-", help="input JSON file, - for stdin")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings as errors")
-    parser.add_argument("--allow-nonunique", action="store_true",
-                        help="report a non-unique solution family instead of failing")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.input == "-":

@@ -8,13 +8,15 @@ Cartan matrix alone, each root carrying its pairings and a_i-string depths, so
 one code path covers the exceptional types; they are ordered by (height,
 coordinates) for reproducible output.  `RootSystem.coords` and
 `RootSystem.summands` are the one place that tests positive-root membership
-and lists the two-part splits delta = beta + gamma of a positive root.
+and lists the two-part splits delta = beta + gamma of a positive root (by
+subtracting roots packed into ints, a member built on first use).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -112,13 +114,25 @@ class RootSystem:
         """Positive-root coordinate tuples, built once per cached system."""
         return frozenset(r.coeffs for r in self.pos_roots)
 
+    @functools.cached_property
+    def packed(self) -> tuple[list[int], frozenset[int], list[int]]:
+        """Each positive root as one int, coefficient i in bits 4i..4i+3, in
+        `pos_roots` order; the set of those ints; the heights."""
+        shifts = range(0, 4 * self.rank, 4)
+        ints = [sum(map(operator.lshift, r.coeffs, shifts)) for r in self.pos_roots]
+        return ints, frozenset(ints), [r.height for r in self.pos_roots]
+
     def summands(self, delta: Sequence[int]) -> list[RootVec]:
-        """The positive roots beta with delta - beta positive, in `pos_roots`
-        order; one bisection on height bounds the scan below ht(delta)."""
-        coords = self.coords
-        top = bisect.bisect_left(self.pos_roots, sum(delta), key=lambda r: r.height)
-        return [beta for beta in self.pos_roots[:top]
-                if tuple(map(operator.sub, delta, beta.coeffs)) in coords]
+        """The positive roots beta with delta - beta positive, for a positive
+        root delta, in `pos_roots` order, scanned up to ht(delta).  Packed
+        subtraction is exact: every root coefficient is at most 6 (E8), so
+        delta - beta has base-16 digits in (-8, 8) and packs to a positive
+        root's int only when it is that root."""
+        ints, pset, heights = self.packed
+        d = sum(map(operator.lshift, delta, range(0, 4 * len(delta), 4)))
+        top = bisect.bisect_left(heights, sum(delta))
+        keep = map(pset.__contains__, map(d.__sub__, itertools.islice(ints, top)))
+        return list(itertools.compress(self.pos_roots, keep))
 
 
 def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
@@ -191,12 +205,11 @@ def _positive_roots_closure(C: Sequence[Sequence[int]]) -> list[RootVec]:
         roots.extend(sorted(level))
         up: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
         for beta, (pair, depth) in level.items():
-            for i in range(n):
-                if depth[i] > pair[i]:
-                    gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    if gamma not in up:
-                        up[gamma] = (tuple(a + b for a, b in zip(pair, cols[i])), [0] * n)
-                    up[gamma][1][i] = depth[i] + 1
+            for i in itertools.compress(range(n), map(operator.gt, depth, pair)):
+                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if gamma not in up:
+                    up[gamma] = (tuple(map(operator.add, pair, cols[i])), [0] * n)
+                up[gamma][1][i] = depth[i] + 1
         level = up
     return [RootVec(r) for r in roots]
 
@@ -226,9 +239,7 @@ def build_root_system(ctype: CartanType) -> RootSystem:
 
 def root_to_weight(rs: RootSystem, r: RootVec) -> WeightVec:
     """Change of basis: alpha_j = sum_i C[i][j] pi_i, so the result is C.r."""
-    C = rs.cartan
-    n = rs.rank
-    return WeightVec(tuple(sum(C[i][j] * r.coeffs[j] for j in range(n)) for i in range(n)))
+    return WeightVec(tuple(sum(map(operator.mul, row, r.coeffs)) for row in rs.cartan))
 
 
 def supp(r: RootVec) -> frozenset[int]:

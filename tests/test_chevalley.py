@@ -84,6 +84,16 @@ def test_root_vector_rejects_non_roots(r):
         root_vector(algebra("A", 3), r)
 
 
+@pytest.mark.parametrize("a,b", [
+    ((1, 0, 1), (0, 1, 0)), ((0, 0, 0), (0, 1, 0)), ((0, -1, 0), (-1, 0, -1))])
+def test_structure_constant_rejects_non_roots(a, b):
+    """Every recursive reduction of `N` checks its labels, so a label that is
+    not a root ends in a schema error instead of unbounded recursion."""
+    alg = algebra("A", 3)
+    with pytest.raises(SchemaError):
+        N(alg.table, alg.norm2, a, b)
+
+
 def test_sl2_relations():
     alg = algebra("A", 1)
     e = root_vector(alg, (1,))

@@ -11,6 +11,7 @@ import pytest
 import ewm.cli
 from ewm.cli import MAX_RANK, _parse_group, emit_output, run
 from ewm.errors import MathError, SchemaError
+from ewm.rootsys import CartanType, build_root_system
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = DATA / "golden"
@@ -291,6 +292,29 @@ def test_xi3_system_without_equations_is_not_unique(monkeypatch, capsys):
     assert code == 4
     (entry,) = json.loads(out)["nonunique"]["entries"]
     assert entry["homogeneous"] == [[1]]
+
+
+def test_shared_parser_keeps_no_state(monkeypatch, capsys):
+    """The argument parser is built once per process: a bad mode still exits
+    2, and a `--strict` run leaves no `--strict` behind for the next run."""
+    with pytest.raises(SystemExit) as e:
+        run(["nonsense"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    so7 = ["general", "--input", str(DATA / "so7.json")]
+    assert _run_in_process(so7 + ["--strict"], monkeypatch, capsys)[0] == 3
+    assert _run_in_process(so7, monkeypatch, capsys)[0] == 0
+
+
+def test_roots_builds_no_lookup_members(monkeypatch, capsys):
+    """`ewm roots` lists the positive roots and never asks a membership or
+    split question, so the lazy lookup members of a type built only for it
+    stay unbuilt."""
+    group = [{"family": "B", "rank": 11}, {"family": "G", "rank": 2}, {"family": "A", "rank": 7}]
+    doc = json.dumps({"mode": "roots", "group": group})
+    assert _run_in_process(["roots"], monkeypatch, capsys, doc)[0] == 0
+    rs = build_root_system(CartanType((("B", 11), ("G", 2), ("A", 7))))
+    assert "coords" not in vars(rs) and "packed" not in vars(rs)
 
 
 def test_unknown_mode_rejected():

@@ -64,12 +64,12 @@ PRODUCT_TYPES = [
     (("E", 8), ("A", 1)),
     (("D", 5), ("B", 3), ("C", 2)),
 ]
-EACH_TYPE = pytest.mark.parametrize(
-    "factors",
-    [(t,) for t in ALL_TYPES] + PRODUCT_TYPES,
-    ids=[f"{f}-{n}" for f, n in ALL_TYPES]
-    + ["x".join(f"{f}{n}" for f, n in t) for t in PRODUCT_TYPES],
-)
+EACH_TYPE_ARGS = [(t,) for t in ALL_TYPES] + PRODUCT_TYPES
+EACH_TYPE_IDS = [f"{f}-{n}" for f, n in ALL_TYPES] + [
+    "x".join(f"{f}{n}" for f, n in t) for t in PRODUCT_TYPES]
+EACH_TYPE = pytest.mark.parametrize("factors", EACH_TYPE_ARGS, ids=EACH_TYPE_IDS)
+# Ranks at which a root packed four bits per coefficient passes 64 bits.
+WIDE_TYPES = [(("A", 30),), (("D", 22),), (("E", 8), ("A", 16))]
 
 
 @EACH_TYPE
@@ -149,7 +149,17 @@ def test_root_to_weight_examples():
     assert root_to_weight(b3, RootVec((1, 0, -1))).coeffs == (2, 0, -2)
 
 
-@EACH_TYPE
+@pytest.mark.parametrize("family,n", ALL_TYPES)
+def test_root_coefficients_fit_packing(family, n):
+    """No positive-root coefficient exceeds 6 (E8's highest root), which is
+    what makes `summands`' base-16 subtraction exact."""
+    rs = build_root_system(CartanType(((family, n),)))
+    assert max(max(r.coeffs) for r in rs.pos_roots) <= 6
+
+
+@pytest.mark.parametrize(
+    "factors", EACH_TYPE_ARGS + WIDE_TYPES,
+    ids=EACH_TYPE_IDS + ["x".join(f"{f}{n}" for f, n in t) for t in WIDE_TYPES])
 def test_summands_match_brute_force(factors):
     """`summands` lists, in root order, exactly the positive roots beta whose
     difference delta - beta is a positive root, as a scan of all pairs finds."""
