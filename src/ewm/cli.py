@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 schema error, 3 mathematical inconsistency,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -266,7 +267,7 @@ def parse_input(text: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object", "")
     mode = _need(doc, "mode", "")
-    if mode not in ("general", "solvable", "roots", "check"):
+    if not isinstance(mode, str) or mode not in _RUNNERS:
         raise SchemaError(f"unknown mode {mode!r}", "/mode")
     return doc
 
@@ -409,7 +410,7 @@ def emit_output(doc: dict, fmt: str, chi_names: Optional[Sequence[str]] = None) 
 _Ran = tuple[int, dict, Optional[tuple[str, ...]]]
 
 
-def _run_general(doc: dict, allow_nonunique: bool) -> _Ran:
+def _run_general(doc: dict) -> _Ran:
     d = parse_general(doc)
     xi3 = solve_xi3(d)
     if not isinstance(xi3, NonUnique):
@@ -431,7 +432,7 @@ def _run_general(doc: dict, allow_nonunique: bool) -> _Ran:
         ],
         "xi12_size": xi3.xi12_size,
     }
-    return (0 if allow_nonunique else 4), out, d.char_space_K.names
+    return 4, out, d.char_space_K.names
 
 
 def _run_solvable(doc: dict) -> _Ran:
@@ -484,18 +485,30 @@ def _run_check(doc: dict) -> _Ran:
     return 0, out, None
 
 
-_PARSER = argparse.ArgumentParser(
-    prog="ewm", description="extended weight monoid of a spherical homogeneous space")
-_PARSER.add_argument("mode", choices=["general", "solvable", "roots", "check"])
-_PARSER.add_argument("--input", default="-", help="input JSON file, - for stdin")
-_PARSER.add_argument("--format", choices=["json", "text"], default="json")
-_PARSER.add_argument("--strict", action="store_true", help="treat warnings as errors")
-_PARSER.add_argument("--allow-nonunique", action="store_true",
-                     help="report a non-unique solution family instead of failing")
+_RUNNERS = {
+    "general": _run_general,
+    "solvable": _run_solvable,
+    "roots": _run_roots,
+    "check": _run_check,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first `run`: building it loads `locale` through `gettext`."""
+    p = argparse.ArgumentParser(
+        prog="ewm", description="extended weight monoid of a spherical homogeneous space")
+    p.add_argument("mode", choices=list(_RUNNERS))
+    p.add_argument("--input", default="-", help="input JSON file, - for stdin")
+    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--strict", action="store_true", help="treat warnings as errors")
+    p.add_argument("--allow-nonunique", action="store_true",
+                   help="report a non-unique solution family instead of failing")
+    return p
 
 
 def run(argv: list[str]) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     try:
         if args.input == "-":
@@ -520,14 +533,7 @@ def run(argv: list[str]) -> int:
             raise SchemaError(
                 f"document mode {doc['mode']!r} does not match subcommand "
                 f"{args.mode!r}", "/mode")
-        if args.mode == "general":
-            code, out, chi_names = _run_general(doc, args.allow_nonunique)
-        elif args.mode == "solvable":
-            code, out, chi_names = _run_solvable(doc)
-        elif args.mode == "roots":
-            code, out, chi_names = _run_roots(doc)
-        else:
-            code, out, chi_names = _run_check(doc)
+        code, out, chi_names = _RUNNERS[args.mode](doc)
     except SchemaError as e:
         print(f"schema error at {e.pointer or '/'}: {e}", file=sys.stderr)
         return 2
@@ -538,6 +544,8 @@ def run(argv: list[str]) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
+    if code == 4 and args.allow_nonunique:
+        code = 0
     if args.strict and any(
         dg.get("severity") == "warning" for dg in out.get("diagnostics", [])
     ):

@@ -69,7 +69,6 @@ __all__ = [
     "necessary_reports",
     "check_necessary",
     "check_sufficient_lie",
-    "levi_kernel_helper",
 ]
 
 
@@ -456,16 +455,3 @@ def check_sufficient_lie(
         return "Spherical"
     return "Inconclusive"
 
-
-def levi_kernel_helper(
-    d: GeneralDatum, lambda_L_basis: Sequence[WeightVec]
-) -> tuple[set[int], list[tuple[int, ...]]]:
-    """The sub-Levi orthogonal to a character basis, and the common kernel of
-    those characters in the cocharacter lattice (simple-coroot coordinates).
-
-    Against a simple root the invariant form needs no basis change:
-    (pi_i, alpha_a) = delta_ia d_a, so (alpha_a, lam) = d_a lam_a."""
-    # d_a > 0, so alpha_a is orthogonal to lam exactly when lam_a = 0
-    pi_M = {a for a in d.pi_L if all(lam.coeffs[a] == 0 for lam in lambda_L_basis)}
-    A = IntMatrix.from_rows([lam.coeffs for lam in lambda_L_basis], d.rank)
-    return pi_M, kernel_with_moduli(A, [0] * len(lambda_L_basis))

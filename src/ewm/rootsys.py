@@ -1,15 +1,16 @@
 """Root-system combinatorics for simple types A-G and products thereof.
 
-Everything is integral: the Cartan matrix, and the symmetrizer
-d_i = (a_i, a_i)/2 with the short roots of each factor of squared length 2.
-Simple roots follow the Bourbaki labelling per factor, factors concatenated in
-input order.  Positive roots are generated one height at a time from the
-Cartan matrix alone, each root carrying its pairings and a_i-string depths, so
-one code path covers the exceptional types; they are ordered by (height,
-coordinates) for reproducible output.  `RootSystem.coords` and
-`RootSystem.summands` are the one place that tests positive-root membership
-and lists the two-part splits delta = beta + gamma of a positive root (by
-subtracting roots packed into ints, a member built on first use).
+Everything is integral: the symmetrizer d_i = (a_i, a_i)/2 with the short
+roots of each factor of squared length 2, and the Cartan matrix, read off the
+bonds of each factor's Dynkin diagram and d.  Simple roots follow the Bourbaki
+labelling per factor, factors concatenated in input order.  Positive roots
+are generated one height at a time from the Cartan matrix alone, each root
+carrying its pairings and a_i-string depths, so one code path covers the
+exceptional types; they are ordered by (height, coordinates) for reproducible
+output.  `RootSystem.coords` and `RootSystem.summands` are the one place that
+tests positive-root membership and lists the two-part splits
+delta = beta + gamma of a positive root (by subtracting roots packed into
+ints, a member built on first use).
 """
 
 from __future__ import annotations
@@ -135,56 +136,17 @@ class RootSystem:
         return list(itertools.compress(self.pos_roots, keep))
 
 
-def _simple_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
-    """Cartan matrix C[i][j] = 2(a_i,a_j)/(a_i,a_i) and integer symmetrizer
-    d_i = (a_i,a_i)/2, normalized so short roots have squared length 2."""
-    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j):
-        C[i][j] = -1
-        C[j][i] = -1
-
-    if family in ("A", "B", "C"):
-        for i in range(n - 1):
-            bond(i, i + 1)
-    if family == "A":
-        d = [1] * n
-    elif family == "B":
-        # alpha_n short; d = (2,...,2,1)
-        C[n - 1][n - 2] = -2
-        d = [2] * (n - 1) + [1]
-    elif family == "C":
-        # alpha_n long; d = (1,...,1,2)
-        C[n - 2][n - 1] = -2
-        d = [1] * (n - 1) + [2]
-    elif family == "D":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 3, n - 1)
-        d = [1] * n
-    elif family == "E":
-        # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 attached to node 4.
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if n >= 7:
-            edges.append((5, 6))
-        if n == 8:
-            edges.append((6, 7))
-        for i, j in edges:
-            bond(i, j)
-        d = [1] * n
-    elif family == "F":
-        for i in range(3):
-            bond(i, i + 1)
-        C[2][1] = -2
-        d = [2, 2, 1, 1]
-    elif family == "G":
-        # alpha_1 short, alpha_2 long.
-        C[0][1] = -3
-        C[1][0] = -1
-        d = [1, 3]
-    else:  # pragma: no cover - guarded by CartanType validation
-        raise InvalidType(family)
-    return C, d
+def _diagram(family: str, n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The bonded pairs of a factor's Dynkin diagram (Bourbaki labels, 0-based)
+    and its symmetrizer d_i = (a_i,a_i)/2, short roots of squared length 2."""
+    chain = [(i, i + 1) for i in range(n - 1)]
+    if family == "D":
+        return chain[:-1] + [(n - 3, n - 1)], [1] * n
+    if family == "E":
+        # chain 1-3-4-5-6(-7)(-8), node 2 attached to node 4
+        return [(0, 2), (1, 3)] + chain[2:], [1] * n
+    d = {"B": [2] * (n - 1) + [1], "C": [1] * (n - 1) + [2], "F": [2, 2, 1, 1], "G": [1, 3]}
+    return chain, d.get(family, [1] * n)
 
 
 def _positive_roots_closure(C: Sequence[Sequence[int]]) -> list[RootVec]:
@@ -216,24 +178,24 @@ def _positive_roots_closure(C: Sequence[Sequence[int]]) -> list[RootVec]:
 
 @functools.lru_cache(maxsize=None)
 def build_root_system(ctype: CartanType) -> RootSystem:
-    """Assemble Cartan matrix, symmetrizer and positive roots for a product type."""
-    rank = ctype.rank
-    C = [[0] * rank for _ in range(rank)]
+    """Assemble Cartan matrix, symmetrizer and positive roots for a product type.
+
+    A bond i - j has C[i][j] = -max(d_i, d_j)/d_i: d_i C[i][j] = (a_i, a_j) is
+    symmetric, and the entry in the longer root's row is -1."""
+    bonds: list[tuple[int, int]] = []
     d: list[int] = []
-    offset = 0
     for fam, n in ctype.factors:
-        Cf, df = _simple_cartan(fam, n)
-        for i in range(n):
-            for j in range(n):
-                C[offset + i][offset + j] = Cf[i][j]
-        d.extend(df)
-        offset += n
-    pos = _positive_roots_closure(C)
+        fb, fd = _diagram(fam, n)
+        bonds += [(i + len(d), j + len(d)) for i, j in fb]
+        d += fd
+    C = [[2 if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    for i, j in bonds + [(j, i) for i, j in bonds]:
+        C[i][j] = -max(d[i], d[j]) // d[i]
     return RootSystem(
         ctype=ctype,
-        cartan=tuple(tuple(row) for row in C),
+        cartan=tuple(map(tuple, C)),
         sym=tuple(d),
-        pos_roots=tuple(pos),
+        pos_roots=tuple(_positive_roots_closure(C)),
     )
 
 

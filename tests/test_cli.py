@@ -306,6 +306,25 @@ def test_shared_parser_keeps_no_state(monkeypatch, capsys):
     assert _run_in_process(so7, monkeypatch, capsys)[0] == 0
 
 
+def test_import_loads_no_locale():
+    """The argument parser is built on the first `run`, not at import:
+    building it loads `locale` through `gettext`."""
+    code = ("import sys; before = set(sys.modules); import ewm.cli; "
+            "print(sorted({'locale', '_locale'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("mode", [[], {}, ["roots"], 1, None])
+def test_non_string_mode_rejected(mode, monkeypatch, capsys):
+    """A mode that is not a string, hashable or not, is a schema error."""
+    doc = json.dumps({"mode": mode, "group": [{"family": "A", "rank": 1}]})
+    monkeypatch.setattr(sys, "stdin", StringIO(doc))
+    assert run(["roots"]) == 2
+    assert capsys.readouterr().err.startswith("schema error at /mode: unknown mode")
+
+
 def test_roots_builds_no_lookup_members(monkeypatch, capsys):
     """`ewm roots` lists the positive roots and never asks a membership or
     split question, so the lazy lookup members of a type built only for it

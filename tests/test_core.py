@@ -24,7 +24,6 @@ from ewm.core import (
     delta_coeff,
     kernel_iota,
     lambda_lattice,
-    levi_kernel_helper,
     mu_lift,
     rho_vector,
     solve_xi3,
@@ -393,58 +392,6 @@ def test_sufficient_lie_ground_truth_on_regular_solvable(family, n, alphas):
     verdicts = {a: check_sufficient_lie(alg, a, p_u, h_u, []) for a in alphas or range(n)}
     assert verdicts == {a: "Spherical" if a in d.sigma else "NotSpherical" for a in verdicts}
     assert alphas or len(set(verdicts.values())) == 2
-
-
-class TestLeviKernelHelper:
-    def test_empty_basis(self, sl6):
-        pi_M, torus = levi_kernel_helper(sl6, [])
-        assert pi_M == sl6.pi_L
-        assert len(torus) == 5
-
-    def test_nonorthogonal_character(self, so7):
-        pi_M, torus = levi_kernel_helper(so7, [WeightVec((0, 1, 0))])
-        assert pi_M == set()
-        assert all(v[1] == 0 for v in torus)
-
-    def test_all_fundamental_weights(self, sl6):
-        basis = [
-            WeightVec(tuple(int(i == j) for j in range(5))) for i in range(5)
-        ]
-        pi_M, torus = levi_kernel_helper(sl6, basis)
-        assert pi_M == set()
-        assert torus == []
-
-    @pytest.mark.parametrize(
-        "factors",
-        [(("B", 3),), (("C", 3),), (("F", 4),), (("G", 2),), (("G", 2), ("B", 3), ("A", 1))],
-        ids=["B3", "C3", "F4", "G2", "G2xB3xA1"],
-    )
-    def test_matches_invariant_form(self, factors):
-        """pi_M against the invariant form evaluated independently, on types
-        where some d_a != 1: a weight goes to root coordinates through the
-        exact inverse of the Cartan matrix, and the simple roots have Gram
-        matrix B[i][j] = d_i C[i][j], so (alpha_a, .) is row a of B C^-1."""
-        sympy = pytest.importorskip("sympy")
-        rs = build_root_system(CartanType(factors))
-        n = rs.rank
-        gram = sympy.Matrix(n, n, lambda i, j: rs.sym[i] * rs.cartan[i][j])
-        form = (gram * sympy.Matrix(rs.cartan).inv()).tolist()
-        rng = random.Random(f"levi-{factors}")
-        proper = nondominant = 0
-        for _ in range(40):
-            pi_L = frozenset(i for i in range(n) if rng.random() < 0.7)
-            d = GeneralDatum(rs=rs, pi_L=pi_L, char_space_K=CharSpace(0), omega_bar=(),
-                             codomain=CharSpace(1), iota=IntMatrix.from_rows([[0] * n]),
-                             xi2_prime=(), xi3_prime=(), sigma_simple=frozenset())
-            basis = [WeightVec(tuple(rng.choice([0, 0, 0, 1, 2, -1, -3]) for _ in range(n)))
-                     for _ in range(rng.randint(1, 3))]
-            expected = {a for a in pi_L
-                        if all(sum(f * x for f, x in zip(form[a], lam.coeffs)) == 0
-                               for lam in basis)}
-            assert levi_kernel_helper(d, basis)[0] == expected
-            proper += set() < expected < pi_L
-            nondominant += any(min(lam.coeffs) < 0 for lam in basis)
-        assert proper and nondominant
 
 
 class TestDerivedOnce:

@@ -92,6 +92,24 @@ def test_cartan_matrix_shape(family, n):
                 assert (C[i][j] == 0) == (C[j][i] == 0)
 
 
+def _det(M):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    M = [list(map(Fraction, row)) for row in M]
+    det = Fraction(1)
+    for c in range(len(M)):
+        piv = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return det
+
+
 @pytest.mark.parametrize("family,n", ALL_TYPES)
 def test_symmetrizer(family, n):
     rs = build_root_system(CartanType(((family, n),)))
@@ -100,22 +118,43 @@ def test_symmetrizer(family, n):
     for i in range(n):
         for j in range(n):
             assert B[i][j] == B[j][i]
-    # determinant of each leading minor via fraction-free elimination
     for k in range(1, n + 1):
-        M = [row[:k] for row in B[:k]]
-        det = Fraction(1)
-        M = [list(map(Fraction, r)) for r in M]
-        for c in range(k):
-            piv = next((r for r in range(c, k) if M[r][c] != 0), None)
-            assert piv is not None
-            if piv != c:
-                M[c], M[piv] = M[piv], M[c]
-                det = -det
-            det *= M[c][c]
-            for r in range(c + 1, k):
-                f = M[r][c] / M[c][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-        assert det > 0
+        assert _det([row[:k] for row in B[:k]]) > 0
+
+
+def _plate(family, n):
+    """Highest root in simple-root coordinates and det C, from Bourbaki's
+    Plates I-IX; the highest root fixes the labelling, B against C too."""
+    top = {
+        "A": (1,) * n,
+        "B": (1,) + (2,) * (n - 1),
+        "C": (2,) * (n - 1) + (1,),
+        "D": (1,) + (2,) * (n - 3) + (1, 1),
+        "E": {6: (1, 2, 2, 3, 2, 1), 7: (2, 2, 3, 4, 3, 2, 1),
+              8: (2, 3, 4, 6, 5, 4, 3, 2)}.get(n),
+        "F": (2, 3, 4, 2),
+        "G": (3, 2),
+    }[family]
+    return top, {"A": n + 1, "B": 2, "C": 2, "D": 4, "E": 9 - n, "F": 1, "G": 1}[family]
+
+
+@pytest.mark.parametrize("factors", (
+    [((f, n),) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 25)]
+    + [(("E", 6),), (("E", 7),), (("E", 8),), (("F", 4),), (("G", 2),)]
+    + [(("G", 2), ("B", 4), ("A", 1)), (("E", 6), ("C", 3)), (("D", 5), ("B", 3), ("C", 2))]),
+    ids=lambda t: "x".join(f"{f}{n}" for f, n in t))
+def test_bourbaki_plates(factors):
+    """Each factor's highest root and the determinant of the Cartan matrix."""
+    rs = build_root_system(CartanType(factors))
+    det, offset = 1, 0
+    for family, n in factors:
+        top, factor_det = _plate(family, n)
+        block = [r.coeffs[offset:offset + n] for r in rs.pos_roots
+                 if not any(r.coeffs[:offset] + r.coeffs[offset + n:])]
+        assert max(block, key=sum) == top
+        det *= factor_det
+        offset += n
+    assert _det(rs.cartan) == det
 
 
 def test_product_type_is_block_diagonal():
