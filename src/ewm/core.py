@@ -143,6 +143,13 @@ class GeneralDatum:
                                    self.codomain.dim)
 
     @cached_property
+    def joint_matrix(self) -> IntMatrix:
+        """[iota | -mu], whose kernel projects onto the weight lattice."""
+        rows = zip(self.iota.entries, self.mu_matrix.entries)
+        return IntMatrix.from_rows([r + tuple(-x for x in m) for r, m in rows],
+                                   self.iota.cols + self.mu_matrix.cols)
+
+    @cached_property
     def xi12_matrix(self) -> IntMatrix:
         """Xi12 weight coefficients at Pi12: a row per root, a column per generator."""
         return IntMatrix.from_rows([[bw.lam.coeffs[a] for bw in self.xi12]
@@ -216,10 +223,7 @@ def kernel_iota(d: GeneralDatum) -> list[tuple[int, ...]]:
 def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
     """Basis of the preimage under iota of the span of the module weights: the
     first rank coordinates of the kernel of [iota | -mu]."""
-    joint = IntMatrix.from_rows([r + tuple(-x for x in m)
-                                 for r, m in zip(d.iota.entries, d.mu_matrix.entries)],
-                                d.iota.cols + d.mu_matrix.cols)
-    gens = [k[: d.rank] for k in kernel_with_moduli(joint, d.moduli)]
+    gens = [k[: d.rank] for k in kernel_with_moduli(d.joint_matrix, d.moduli)]
     return hnf_rows(gens, d.rank)
 
 

@@ -10,8 +10,10 @@ group) and an m x 0 one (an empty basis) go down the same SNF path as any
 other: the kernel of a 0 x n matrix is all of Z^n.
 
 Each distinct matrix is factored once per process: `smith_normal_form` is a
-bounded LRU memo of 16 keyed by the frozen `IntMatrix`, whose shared (U, D, V)
-results are immutable.
+bounded LRU memo of 16 keyed by the frozen `IntMatrix`, returning one shared
+`Smith` record per matrix.  The record unpacks as (U, D, V) and derives the
+Hermite basis of its kernel once per projection width, so every later kernel
+query on that matrix is a dict lookup.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "IntMatrix",
     "CharSpace",
     "CharVec",
+    "Smith",
     "smith_normal_form",
     "kernel_with_moduli",
     "solve_with_moduli",
@@ -145,15 +148,40 @@ def mat_vec(A: IntMatrix, x: Sequence[int]) -> Vec:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=SNF_MEMO_SIZE)
-def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with D = U*A*V, U and V unimodular, D diagonal with
-    non-negative entries satisfying d1 | d2 | ...; for an m x n matrix A they
-    are m x m, m x n and n x n.
+@dataclass(frozen=True, eq=False)
+class Smith:
+    """The factorization D = U*A*V of one matrix; unpacks as (U, D, V)."""
 
-    Memoised on A; callers share the immutable result.  16 is over three
-    times the most distinct matrices one datum needs (5, on data/sl6.json),
-    so no datum factors a matrix twice; at MAX_RANK it also caps the memory.
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+    _kernels: dict[int, tuple[Vec, ...]] = field(default_factory=dict, repr=False)
+
+    def __iter__(self):
+        return iter((self.U, self.D, self.V))
+
+    def kernel(self, ncols: int) -> tuple[Vec, ...]:
+        """HNF basis of the kernel projected onto the first `ncols` coordinates,
+        derived on the first call per width: two (A, moduli) pairs can augment
+        to the same matrix and differ only in their width."""
+        if ncols not in self._kernels:
+            n = self.V.rows
+            rank = sum(1 for i in range(min(self.D.rows, n)) if self.D.entries[i][i] != 0)
+            gens = [self.V.column(j)[:ncols] for j in range(rank, n)]
+            self._kernels[ncols] = tuple(hnf_rows(gens, ncols))
+        return self._kernels[ncols]
+
+
+@functools.lru_cache(maxsize=SNF_MEMO_SIZE)
+def smith_normal_form(A: IntMatrix) -> Smith:
+    """Return (U, D, V), as a `Smith` record, with D = U*A*V, U and V
+    unimodular, D diagonal with non-negative entries satisfying d1 | d2 | ...;
+    for an m x n matrix A they are m x m, m x n and n x n.
+
+    Memoised on A; callers share the one record and its kernels.  16 is over
+    three times the most distinct matrices one datum needs (5, on
+    data/sl6.json), so no datum factors a matrix twice; at MAX_RANK it also
+    caps the memory.
     """
     m, n = A.rows, A.cols
     M = [list(r) for r in A.entries]
@@ -234,7 +262,7 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(t)
         t += 1
 
-    return (
+    return Smith(
         IntMatrix.from_rows(U, m),
         IntMatrix.from_rows(M, n),
         IntMatrix.from_rows(V, n),
@@ -255,19 +283,10 @@ def _augment_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _kernel_columns(A: IntMatrix) -> list[Vec]:
-    """Integer kernel basis of A x = 0 via SNF: columns of V past the rank."""
-    U, D, V = smith_normal_form(A)
-    n = A.cols
-    rank = sum(1 for i in range(min(A.rows, n)) if D.entries[i][i] != 0)
-    return [V.column(j) for j in range(rank, n)]
-
-
 def kernel_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> list[Vec]:
-    """Basis of {x : (Ax)_i = 0 when m_i = 0, (Ax)_i = 0 mod m_i otherwise}."""
-    aug = _augment_with_moduli(A, moduli)
-    gens = [k[: A.cols] for k in _kernel_columns(aug)]
-    return hnf_rows(gens, A.cols)
+    """Basis of {x : (Ax)_i = 0 when m_i = 0, (Ax)_i = 0 mod m_i otherwise}:
+    the kernel of the augmented matrix, projected back onto A's columns."""
+    return list(smith_normal_form(_augment_with_moduli(A, moduli)).kernel(A.cols))
 
 
 def solve_with_moduli(

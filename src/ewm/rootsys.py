@@ -89,12 +89,6 @@ class WeightVec:
     def __add__(self, other: "WeightVec") -> "WeightVec":
         return WeightVec(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "WeightVec":
-        return WeightVec(tuple(-a for a in self.coeffs))
-
     def scale(self, k: int) -> "WeightVec":
         return WeightVec(tuple(k * a for a in self.coeffs))
 
@@ -108,7 +102,7 @@ class RootSystem:
 
     @property
     def rank(self) -> int:
-        return self.ctype.rank
+        return len(self.cartan)
 
     @functools.cached_property
     def coords(self) -> frozenset[tuple[int, ...]]:

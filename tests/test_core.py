@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import ewm.core
+import ewm.intlin
 from ewm.chevalley import build_algebra, root_vector
 from ewm.cli import parse_general, parse_solvable, run
 from ewm.core import (
-    Biweight,
     GeneralDatum,
     NonUnique,
     check_necessary,
@@ -30,7 +30,6 @@ from ewm.core import (
 )
 from ewm.errors import (
     DataInconsistency,
-    Inconsistent,
     MissingOmegaBar,
     SupportClash,
     NoLift,
@@ -426,7 +425,8 @@ class TestDerivedOnce:
     def test_cached_members_leave_eq_and_hash(self):
         doc = json.loads((DATA / "sl6.json").read_text(encoding="utf-8"))
         read, fresh = parse_general(doc), parse_general(doc)
-        for name in ("xi12", "pi12", "pi12_single", "moduli", "mu_matrix", "xi12_matrix"):
+        for name in ("xi12", "pi12", "pi12_single", "moduli", "mu_matrix", "joint_matrix",
+                     "xi12_matrix"):
             getattr(read, name)
         assert read == fresh
         assert hash(read) == hash(fresh)
@@ -490,3 +490,26 @@ def test_snf_requests_stay_under_the_probe_counts(case, ceiling, capsys):
     case()
     info = smith_normal_form.cache_info()
     assert info.hits + info.misses <= ceiling
+
+
+@pytest.mark.parametrize(
+    "name,flags,ceiling",
+    [("sl6", (), 71), ("so7", (), 16), ("sl3_parabolic", ("--allow-nonunique",), 6)],
+    ids=["sl6", "so7", "sl3_parabolic"],
+)
+def test_hnf_calls_stay_under_the_cold_run_counts(name, flags, ceiling, monkeypatch, capsys):
+    """A factorization puts its kernel basis in Hermite form once per
+    projection width, not once per query: a cold `general` run re-deriving
+    it on every kernel query makes 271, 48 and 7 `hnf_rows` calls."""
+    calls = []
+    hnf = ewm.intlin.hnf_rows
+
+    def counted(*args):
+        calls.append(args)
+        return hnf(*args)
+
+    for mod in (ewm.intlin, ewm.core):
+        monkeypatch.setattr(mod, "hnf_rows", counted)
+    smith_normal_form.cache_clear()
+    assert _general_cli(name, *flags)() == 0
+    assert len(calls) <= ceiling

@@ -188,6 +188,30 @@ def test_kernel_rank_nullity():
             assert all(x == 0 for x in mat_vec(A, v))
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["torsion-first", "free-first"])
+def test_kernel_keeps_each_projection_width(order):
+    """[[1]] mod 2 and [[1, 2]] free augment to the same matrix: one shared
+    factorization answers both, each at its own width."""
+    cases = [
+        (IntMatrix.from_rows([[1]]), [2], [(2,)]),
+        (IntMatrix.from_rows([[1, 2]]), [0], [(2, -1)]),
+    ]
+    smith_normal_form.cache_clear()
+    for i in order:
+        A, moduli, want = cases[i]
+        assert kernel_with_moduli(A, moduli) == want
+    assert smith_normal_form.cache_info().misses == 1
+
+
+def test_kernel_answer_is_the_callers_own():
+    A = IntMatrix.from_rows([[1, 2, 3], [0, 4, 0]])
+    got = kernel_with_moduli(A, [0, 6])
+    want = list(got)
+    got[0] = (0, 0, 0)
+    got.append((1, 1, 1))
+    assert kernel_with_moduli(A, [0, 6]) == want
+
+
 def test_solve_parity_no_solution():
     assert solve_with_moduli(IntMatrix.from_rows([[2]]), [0], [3]) is None
 

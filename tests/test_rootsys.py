@@ -159,7 +159,7 @@ def test_bourbaki_plates(factors):
 
 def test_product_type_is_block_diagonal():
     rs = build_root_system(CartanType((("A", 2), ("B", 2))))
-    assert rs.rank == 4
+    assert rs.rank == rs.ctype.rank == 4
     assert rs.cartan[0][2] == rs.cartan[2][0] == 0
     assert len(rs.pos_roots) == 3 + 4
 
