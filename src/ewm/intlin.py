@@ -1,9 +1,10 @@
 """Exact integer linear algebra over free abelian groups with torsion.
 
-The single engine is the Smith normal form; kernels, congruence solving and
-lattice membership are all phrased as SNF problems on a matrix augmented with
-one column m_i * e_i per torsion row.  All arithmetic is arbitrary-precision
-Python int, so intermediate coefficient growth is a non-issue.
+One elimination routine, `_echelon` (row Hermite form, in place, with any
+appended columns following each row operation), serves both forms: it is the
+body of `hnf_rows`, and the Smith normal form alternates its row and column
+passes.  Kernels, congruence solving and lattice membership are phrased as
+SNF problems on a matrix augmented with one column m_i * e_i per torsion row.
 
 A matrix carries its column count, so a 0 x n matrix (a map into the zero
 group) and an m x 0 one (an empty basis) go down the same SNF path as any
@@ -178,94 +179,47 @@ def smith_normal_form(A: IntMatrix) -> Smith:
     unimodular, D diagonal with non-negative entries satisfying d1 | d2 | ...;
     for an m x n matrix A they are m x m, m x n and n x n.
 
+    Alternating Hermite passes (H. Cohen, *A Course in Computational
+    Algebraic Number Theory*, GTM 138, §2.4; R. Kannan and A. Bachem, SIAM
+    J. Comput. 8 (1979)): a row pass on the rows of [M | U], then a column
+    pass, run as a row pass on the rows of [M^T | V^T], until M is diagonal.
+    After each pass the corner of the block not yet cleared divides the one
+    before, and a pass that leaves the block's first row or column uncleared
+    makes it a proper divisor, so the passes end.  Where d_i does not divide
+    d_j, column j is added to column i: the next row pass lowers d_i to
+    gcd(d_i, d_j), a proper divisor, and leaves d_1 ... d_(i-1) alone, so
+    that loop ends too.  Reducing above each pivot holds down the entries
+    of U and V.
+
     Memoised on A; callers share the one record and its kernels.  16 is over
     three times the most distinct matrices one datum needs (5, on
     data/sl6.json), so no datum factors a matrix twice; at MAX_RANK it also
     caps the memory.
     """
     m, n = A.rows, A.cols
-    M = [list(r) for r in A.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in M:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(i, j, k):  # row i += k * row j
-        M[i] = [a + k * b for a, b in zip(M[i], M[j])]
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-
-    def add_col(i, j, k):  # col i += k * col j
-        for r in M:
-            r[i] += k * r[j]
-        for r in V:
-            r[i] += k * r[j]
-
-    def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of minimal absolute value in the trailing submatrix
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = M[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
+    # the rows of [M | U], and V^T, the right-hand block of each column pass
+    MU = [[*r, *(int(i == k) for k in range(m))] for i, r in enumerate(A.entries)]
+    VT = [[int(i == k) for k in range(n)] for i in range(n)]
+    while True:
+        _echelon(MU, n)
+        MV = [[r[j] for r in MU] + VT[j] for j in range(n)]
+        _echelon(MV, m)
+        MU = [[r[i] for r in MV] + MU[i][n:] for i in range(m)]
+        VT = [r[m:] for r in MV]
+        if any(MU[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        d = [MU[i][i] for i in range(min(m, n))]
+        ij = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                   if d[i] and d[j] % d[i]), None)
+        if ij is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if M[i][t] != 0:
-                    q = M[i][t] // M[t][t]
-                    add_row(i, t, -q)
-                    if M[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if M[t][j] != 0:
-                    q = M[t][j] // M[t][t]
-                    add_col(j, t, -q)
-                    if M[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if not done:
-                continue
-            # enforce that the pivot divides every remaining entry
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if M[i][j] % M[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if M[t][t] < 0:
-            negate_row(t)
-        t += 1
-
+        i, j = ij
+        MU[j][i] = d[j]  # column i += column j
+        VT[i] = [a + b for a, b in zip(VT[i], VT[j])]
     return Smith(
-        IntMatrix.from_rows(U, m),
-        IntMatrix.from_rows(M, n),
-        IntMatrix.from_rows(V, n),
+        IntMatrix.from_rows([r[n:] for r in MU], m),
+        IntMatrix.from_rows([r[:n] for r in MU], n),
+        IntMatrix.from_cols(VT, n),
     )
 
 
@@ -335,6 +289,14 @@ def hnf_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
     rows dropped — the deterministic serialization used everywhere.
     """
     rows = [list(v) for v in vectors if any(v)]
+    return [tuple(row) for row in rows[:_echelon(rows, ncols)]]
+
+
+def _echelon(rows: list[list[int]], ncols: int) -> int:
+    """Put `rows` into row Hermite form on their first `ncols` columns, in
+    place, and return the pivot count; the pivot rows come first and the
+    rest are zero there.  Any further columns follow every row operation,
+    so an appended identity records the transform."""
     r = 0
     for col in range(ncols):
         if r == len(rows):  # every row has its pivot: no column left to clear
@@ -368,4 +330,4 @@ def hnf_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[Vec]:
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
         r += 1
-    return [tuple(row) for row in rows[:r] if any(row)]
+    return r

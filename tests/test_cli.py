@@ -1,6 +1,8 @@
 """CLI front end: golden files, exit codes, determinism, text and JSON rendering."""
 
+import itertools
 import json
+import math
 import subprocess
 import sys
 from io import StringIO
@@ -240,6 +242,33 @@ def test_check_text_shows_intermediates(monkeypatch, capsys):
     lines = out.splitlines()
     assert "pi12 (simple roots met by Xi1 and Xi2): alpha_1, alpha_3" in lines
     assert lines[lines.index("kernel of iota basis:") + 1] == "  2ϖ1 − 2ϖ3"
+
+
+_DENSE_IOTA = [[1, -5, 3, -8, -7, 8, -6, 2], [9, -8, 7, -3, -8, -7, 4, 4],
+               [-7, -2, -7, 8, 4, -8, 9, -6], [-2, 9, -8, 9, 9, 3, -8, -2],
+               [-8, 8, -5, 0, 4, -5, 8, -6], [9, 0, 8, -4, -6, 9, 9, -3]]
+
+
+def test_check_dense_iota_kernel(monkeypatch, capsys):
+    """A rank-8 `check` with a dense 6x8 iota (entries in -9..9, of rank 6)
+    prints a basis of the whole integer kernel: two vectors, each killed by
+    iota, whose 2x2 minors are coprime, so no multiple of a kernel vector is
+    missing.  A factorization whose coefficients grew without check kept
+    this run going for over two minutes."""
+    doc = {"mode": "general", "group": [{"family": "A", "rank": 8}], "pi_L": [],
+           "char_space_K": {"free_rank": 1},
+           "omega_bar": {str(i): [0] for i in range(1, 9)},
+           "codomain": {"free_rank": 6}, "iota": _DENSE_IOTA,
+           "xi3_prime": [{"mu": [1, 0, 0, 0, 0, 0]}], "sigma_simple": []}
+    code, out = _run_in_process(["check"], monkeypatch, capsys, json.dumps(doc))
+    assert code == 0
+    kernel = json.loads(out)["kernel_iota"]
+    assert len(kernel) == 2
+    for k in kernel:
+        assert all(sum(map(int.__mul__, row, k)) == 0 for row in _DENSE_IOTA)
+    u, v = kernel
+    assert math.gcd(*(u[i] * v[j] - u[j] * v[i]
+                      for i, j in itertools.combinations(range(8), 2))) == 1
 
 
 _ZERO_CODOMAIN = {

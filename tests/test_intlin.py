@@ -102,6 +102,23 @@ def test_snf_random_contract():
         check_snf_contract(A)
 
 
+def _dense(rng, m, n):
+    return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+
+
+def test_snf_dense_wide_inputs_keep_small_coefficients():
+    """U, D and V stay within 128 bits on dense wide matrices with entries in
+    -9..9.  The first is the iota of `test_check_dense_iota_kernel` in
+    test_cli.py: a min-pivot elimination reached 77,212-bit entries on it."""
+    inputs = [_dense(random.Random(7), 6, 8)]
+    inputs += [_dense(random.Random(seed), 6, 8) for seed in (1, 2, 3)]
+    inputs += [_dense(random.Random(seed), 8, 11) for seed in (1, 2, 3)]
+    for A in inputs:
+        bits = max(abs(x).bit_length() for M in smith_normal_form(A) for r in M.entries for x in r)
+        assert bits <= 128, (A.entries, bits)
+        check_snf_contract(A)
+
+
 def test_snf_nonsquare():
     rng = random.Random(3)
     for _ in range(30):
@@ -366,13 +383,15 @@ def test_charvec_length_checked_under_optimize():
 
 def test_snf_diagonal_matches_sympy_oracle():
     """The Smith diagonal agrees with sympy's invariant factors, computed
-    independently, on 200 seeded random matrices up to 5x5."""
+    independently, on 200 seeded random matrices up to 5x5 and 40 wider ones
+    with up to 9 columns."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
 
     rng = random.Random(53)
-    for _ in range(200):
-        m, n, bound = rng.randint(1, 5), rng.randint(1, 5), rng.choice([1, 3, 9])
+    shapes = [(5, 5)] * 200 + [(6, 9)] * 40
+    for mmax, nmax in shapes:
+        m, n, bound = rng.randint(1, mmax), rng.randint(1, nmax), rng.choice([1, 3, 9])
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
         _, D, _ = smith_normal_form(IntMatrix.from_rows(rows))
         diag = [D.entries[i][i] for i in range(min(m, n))]
