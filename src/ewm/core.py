@@ -35,7 +35,6 @@ from .intlin import (
     CharSpace,
     CharVec,
     IntMatrix,
-    hnf_rows,
     in_sublattice,
     kernel_with_moduli,
     mat_vec,
@@ -222,9 +221,9 @@ def kernel_iota(d: GeneralDatum) -> list[tuple[int, ...]]:
 
 def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
     """Basis of the preimage under iota of the span of the module weights: the
-    first rank coordinates of the kernel of [iota | -mu]."""
-    gens = [k[: d.rank] for k in kernel_with_moduli(d.joint_matrix, d.moduli)]
-    return hnf_rows(gens, d.rank)
+    kernel of [iota | -mu] read at width rank, exact because the projection
+    of a lattice is spanned by the projections of its basis vectors."""
+    return kernel_with_moduli(d.joint_matrix, d.moduli, d.rank)
 
 
 def rho_vector(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
@@ -274,11 +273,12 @@ def _solve_xi12(d: GeneralDatum, rhs: Sequence[int]):
 def _combine(d: GeneralDatum, lam: WeightVec,
              coeffs: Sequence[int]) -> tuple[WeightVec, CharVec]:
     """(lam, 0) plus the given integer combination of the Xi12 generators."""
-    chi = d.char_space_K.zero()
+    lam_sum, chi_sum = list(lam.coeffs), [0] * d.char_space_K.dim
     for a, bw in zip(coeffs, d.xi12):
-        lam = lam + bw.lam.scale(a)
-        chi = chi + bw.chi.scale(a)
-    return lam, chi
+        if a:
+            lam_sum = [x + a * y for x, y in zip(lam_sum, bw.lam.coeffs)]
+            chi_sum = [x + a * y for x, y in zip(chi_sum, bw.chi.coords)]
+    return WeightVec(tuple(lam_sum)), CharVec(d.char_space_K, tuple(chi_sum))
 
 
 def solve_xi3(d: GeneralDatum) -> Union[list[Biweight], NonUnique]:

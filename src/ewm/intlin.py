@@ -12,9 +12,9 @@ other: the kernel of a 0 x n matrix is all of Z^n.
 
 Each distinct matrix is factored once per process: `smith_normal_form` is a
 bounded LRU memo of 16 keyed by the frozen `IntMatrix`, returning one shared
-`Smith` record per matrix.  The record unpacks as (U, D, V) and derives the
-Hermite basis of its kernel once per projection width, so every later kernel
-query on that matrix is a dict lookup.
+`Smith` record per matrix.  The record unpacks as (U, D, V) and answers each
+kernel and solve on that matrix: it keeps its diagonal, the columns of V and
+one Hermite basis of its kernel per projection width, each derived once.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ def mat_vec(A: IntMatrix, x: Sequence[int]) -> Vec:
 
 @dataclass(frozen=True, eq=False)
 class Smith:
-    """The factorization D = U*A*V of one matrix; unpacks as (U, D, V)."""
+    """The factorization D = U*A*V of one matrix, which answers the kernel
+    and solve queries on it; unpacks as (U, D, V)."""
 
     U: IntMatrix
     D: IntMatrix
@@ -161,16 +162,35 @@ class Smith:
     def __iter__(self):
         return iter((self.U, self.D, self.V))
 
+    @functools.cached_property
+    def _solver(self) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
+        """(d_1 ... d_m, with 0 past the last column; the columns of V)."""
+        n = self.V.rows
+        diag = tuple(self.D.entries[i][i] if i < n else 0 for i in range(self.D.rows))
+        return diag, tuple(self.V.column(j) for j in range(n))
+
     def kernel(self, ncols: int) -> tuple[Vec, ...]:
         """HNF basis of the kernel projected onto the first `ncols` coordinates,
         derived on the first call per width: two (A, moduli) pairs can augment
         to the same matrix and differ only in their width."""
         if ncols not in self._kernels:
-            n = self.V.rows
-            rank = sum(1 for i in range(min(self.D.rows, n)) if self.D.entries[i][i] != 0)
-            gens = [self.V.column(j)[:ncols] for j in range(rank, n)]
-            self._kernels[ncols] = tuple(hnf_rows(gens, ncols))
+            diag, cols = self._solver
+            rank = sum(1 for x in diag if x != 0)
+            self._kernels[ncols] = tuple(hnf_rows([v[:ncols] for v in cols[rank:]], ncols))
         return self._kernels[ncols]
+
+    def solve(self, b: Sequence[int], ncols: int) -> Optional[Vec]:
+        """V*y cut to its first `ncols` entries, where D*y = U*b, adding only
+        the columns of V with y_i != 0; None when a d_i does not divide (U*b)_i."""
+        diag, cols = self._solver
+        x = [0] * ncols
+        for i, (c, d) in enumerate(zip(mat_vec(self.U, b), diag)):
+            if c:
+                if d == 0 or c % d != 0:
+                    return None
+                q = c // d
+                x = [a + q * v for a, v in zip(x, cols[i])]
+        return tuple(x)
 
 
 @functools.lru_cache(maxsize=SNF_MEMO_SIZE)
@@ -227,20 +247,20 @@ def _augment_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     """Append one column m_i * e_i per torsion row (modulus >= 2)."""
     if len(moduli) != A.rows:
         raise SchemaError(f"{len(moduli)} moduli for {A.rows} rows")
-    extra = [i for i, mmod in enumerate(moduli) if mmod != 0]
-    if not extra:
+    if not any(moduli):
         return A
-    rows = []
-    for i, r in enumerate(A.entries):
-        tail = tuple(moduli[i] if i == k else 0 for k in extra)
-        rows.append(r + tail)
-    return IntMatrix.from_rows(rows)
+    extra = [i for i, mmod in enumerate(moduli) if mmod != 0]
+    return IntMatrix.from_rows(
+        [r + tuple(moduli[i] if i == k else 0 for k in extra) for i, r in enumerate(A.entries)])
 
 
-def kernel_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> list[Vec]:
+def kernel_with_moduli(A: IntMatrix, moduli: Sequence[int],
+                       ncols: Optional[int] = None) -> list[Vec]:
     """Basis of {x : (Ax)_i = 0 when m_i = 0, (Ax)_i = 0 mod m_i otherwise}:
-    the kernel of the augmented matrix, projected back onto A's columns."""
-    return list(smith_normal_form(_augment_with_moduli(A, moduli)).kernel(A.cols))
+    the kernel of the augmented matrix, projected back onto A's columns, or
+    onto its first `ncols` when given."""
+    width = A.cols if ncols is None else ncols
+    return list(smith_normal_form(_augment_with_moduli(A, moduli)).kernel(width))
 
 
 def solve_with_moduli(
@@ -252,22 +272,9 @@ def solve_with_moduli(
     """
     if len(b) != A.rows:
         raise SchemaError(f"right-hand side has {len(b)} entries for {A.rows} rows")
-    aug = _augment_with_moduli(A, moduli)
-    U, D, V = smith_normal_form(aug)
-    m, n = aug.rows, aug.cols
-    c = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = D.entries[i][i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    z = mat_vec(V, y)
-    particular = z[: A.cols]
+    particular = smith_normal_form(_augment_with_moduli(A, moduli)).solve(b, A.cols)
+    if particular is None:
+        return None
     return particular, kernel_with_moduli(A, moduli)
 
 

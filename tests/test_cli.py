@@ -232,6 +232,23 @@ def test_check_mode_reports():
     assert reports[3]["asserted_spherical"] is True
 
 
+def test_check_reports_roots_outside_the_weight_lattice(monkeypatch, capsys):
+    """On A2 with iota = [[2, 0]] into Z and one module weight 8, the weight
+    lattice is 4Z x Z, so neither alpha_1 = (2, -1) nor alpha_2 = (-1, 2)
+    lies in it: both reports say so and carry no functional values."""
+    doc = {"mode": "general", "group": [{"family": "A", "rank": 2}], "pi_L": [],
+           "char_space_K": {"free_rank": 1}, "omega_bar": {"1": [0], "2": [0]},
+           "codomain": {"free_rank": 1}, "iota": [[2, 0]],
+           "xi3_prime": [{"mu": [8]}], "sigma_simple": []}
+    code, out = _run_in_process(["check"], monkeypatch, capsys, json.dumps(doc))
+    assert code == 0
+    got = json.loads(out)
+    assert got["lambda_basis"] == [[4, 0], [0, 1]]
+    assert [(r["alpha"], r["in_lambda"], r["rho_values"], r["classification"])
+            for r in got["necessary"]] == [(1, False, None, "NecessaryFailed"),
+                                           (2, False, None, "NecessaryFailed")]
+
+
 def test_check_text_shows_intermediates(monkeypatch, capsys):
     """The text rendering of `check` carries what the JSON document does: the
     simple roots met by the first two families, and each basis row of the

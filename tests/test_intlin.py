@@ -2,10 +2,12 @@
 lattice membership against a brute-force oracle, canonical bases."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,13 @@ from ewm.intlin import (
     smith_normal_form,
     solve_with_moduli,
 )
+from ewm.cli import parse_general
+from ewm.core import lambda_lattice
 from ewm.errors import PiMapError, SchemaError
 from ewm.rootsys import CartanType, RootVec, build_root_system
 from ewm.solvable import SolvableDatum, f_set
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def matmul(A, B, cols):
@@ -268,6 +274,81 @@ def test_solve_substitution_random():
                 assert g == want
             else:
                 assert (g - want) % mod == 0
+
+
+def _augmented(A, moduli):
+    """A with one column m_i * e_i per torsion row, built apart from the library."""
+    extra = [i for i, mod in enumerate(moduli) if mod]
+    return IntMatrix.from_rows(
+        [list(r) + [moduli[i] * (i == k) for k in extra] for i, r in enumerate(A.entries)],
+        A.cols + len(extra))
+
+
+def _smith_formula(A, moduli, b):
+    """V * (U*b / D), cut to A's columns, read off the record of the augmented
+    matrix; None when some d_i does not divide (U*b)_i, a zero d_i included."""
+    U, D, V = smith_normal_form(_augmented(A, moduli))
+    y = [0] * V.rows
+    for i, c in enumerate(mat_vec(U, b)):
+        d = D.entries[i][i] if i < D.cols else 0
+        if (c % d if d else c) != 0:
+            return None
+        if d:
+            y[i] = c // d
+    return mat_vec(V, y)[: A.cols]
+
+
+def test_solve_matches_the_smith_formula():
+    """Seeded differential test: on free and torsion systems up to 6 x 8 with
+    entries in -5..5, a solve fails exactly when the formula does, and
+    otherwise returns the formula's particular solution unchanged."""
+    rng = random.Random(23)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        m, n = rng.randint(0, 6), rng.randint(1, 8)
+        A = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)], n)
+        moduli = [rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(m)]
+        if rng.random() < 0.3:
+            b = list(mat_vec(A, [rng.randint(-3, 3) for _ in range(n)]))
+        else:
+            b = [rng.randint(-5, 5) for _ in range(m)]
+        want = _smith_formula(A, moduli, b)
+        sol = solve_with_moduli(A, moduli, b)
+        outcomes[want is not None] += 1
+        if want is None:
+            assert sol is None, (A.entries, moduli, b)
+        else:
+            assert sol == (want, kernel_with_moduli(A, moduli)), (A.entries, moduli, b)
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def _assert_projections_agree(A, moduli):
+    full = kernel_with_moduli(A, moduli)
+    for w in range(A.cols + 1):
+        assert kernel_with_moduli(A, moduli, w) == hnf_rows([k[:w] for k in full], w), w
+
+
+def test_projected_kernel_is_the_hermite_form_of_the_projected_basis():
+    """Reading a kernel at width w gives the Hermite form of the first w
+    coordinates of the full kernel basis, at every width, torsion rows
+    included."""
+    rng = random.Random(19)
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        A = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+        _assert_projections_agree(A, [rng.choice([0, 2, 3, 4]) for _ in range(m)])
+
+
+@pytest.mark.parametrize("name", ["sl6", "so7", "sl3_parabolic"])
+def test_projected_kernel_on_the_general_documents(name):
+    """The same identity on the iota and [iota | -mu] matrices of the
+    checked-in general documents; width rank of the second is the weight
+    lattice."""
+    d = parse_general(json.loads((DATA / f"{name}.json").read_text()))
+    _assert_projections_agree(d.iota, d.moduli)
+    _assert_projections_agree(d.joint_matrix, d.moduli)
+    assert lambda_lattice(d) == hnf_rows(
+        [k[: d.rank] for k in kernel_with_moduli(d.joint_matrix, d.moduli)], d.rank)
 
 
 def brute_force_member(v, basis, bound=4):
