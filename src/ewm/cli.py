@@ -313,14 +313,21 @@ def _terms(coeffs: Sequence[int], names: Sequence[str]) -> str:
     return " ".join(terms) if terms else "0"
 
 
-# With `indent` set, `json.dumps` runs CPython's pure-Python encoder; the
-# compact encoder below is the C one, used on whole int lists and matrices.
-_compact = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+# Decimal spellings of the small ints that fill root and Cartan rows.
+_SMALL = {i: int.__repr__(i) for i in range(-9, 10)}
+
+
+def _rows(sep: str, m: Sequence[Sequence[int]]) -> list[str]:
+    try:
+        return [sep.join(map(_SMALL.__getitem__, r)) for r in m]
+    except KeyError:
+        return [sep.join(map(int.__repr__, r)) for r in m]
 
 
 def _json(v: Any, ind: str) -> str:
     """`v` as `json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True)`
-    writes it when nested at indent `ind`.  Dict keys must be strings."""
+    writes it when nested at indent `ind`, without the pure-Python encoder
+    that call runs.  Dict keys must be strings."""
     if isinstance(v, str):
         return json.encoder.encode_basestring_ascii(v)
     if v is None:
@@ -342,13 +349,12 @@ def _json(v: Any, ind: str) -> str:
         return "[]"
     types = set(map(type, v))
     if types == {int}:
-        body = _compact(v)[1:-1].replace(",", ",\n" + inner)
+        body, = _rows(",\n" + inner, [v])
         return f"[\n{inner}{body}\n{ind}]"
     if (types <= {list, tuple} and all(v)
             and set(map(type, itertools.chain.from_iterable(v))) == {int}):
         deep = inner + "  "
-        body = _compact(v)[2:-2].replace(",", ",\n" + deep).replace(
-            "],\n" + deep + "[", f"\n{inner}],\n{inner}[\n{deep}")
+        body = f"\n{inner}],\n{inner}[\n{deep}".join(_rows(",\n" + deep, v))
         return f"[\n{inner}[\n{deep}{body}\n{inner}]\n{ind}]"
     return "[\n" + ",\n".join(inner + _json(x, inner) for x in v) + "\n" + ind + "]"
 
@@ -363,8 +369,7 @@ def emit_output(doc: dict, fmt: str, chi_names: Optional[Sequence[str]] = None) 
     lines = []
     if "pos_roots" in doc:
         lines.append(f"positive roots ({len(doc['pos_roots'])}):")
-        for r in doc["pos_roots"]:
-            lines.append("  " + " ".join(str(x) for x in r))
+        lines += ["  " + r for r in _rows(" ", doc["pos_roots"])]
     if "generators" in doc:
         lines.append(f"generators ({len(doc['generators'])}):")
         for g in doc["generators"]:

@@ -7,10 +7,12 @@ labelling per factor, factors concatenated in input order.  Positive roots
 are generated one height at a time from the Cartan matrix alone, each root
 carrying its pairings and a_i-string depths, so one code path covers the
 exceptional types; they are ordered by (height, coordinates) for reproducible
-output.  `RootSystem.coords` and `RootSystem.summands` are the one place that
-tests positive-root membership and lists the two-part splits
-delta = beta + gamma of a positive root (by subtracting roots packed into
-ints, a member built on first use).
+output.  A rank-n root packs into one int, coefficient i in byte n-1-i
+(`x.to_bytes(n, "big")[i]`), so int order is coordinate order; the closure
+packs pairings + 64 alike.  `RootSystem.coords` and `RootSystem.summands` are
+the one place that tests positive-root membership and lists the two-part
+splits delta = beta + gamma of a positive root (by subtracting packed roots, a
+member built on first use).
 """
 
 from __future__ import annotations
@@ -111,20 +113,18 @@ class RootSystem:
 
     @functools.cached_property
     def packed(self) -> tuple[list[int], frozenset[int], list[int]]:
-        """Each positive root as one int, coefficient i in bits 4i..4i+3, in
-        `pos_roots` order; the set of those ints; the heights."""
-        shifts = range(0, 4 * self.rank, 4)
-        ints = [sum(map(operator.lshift, r.coeffs, shifts)) for r in self.pos_roots]
+        """Each positive root packed into one int (see the module docstring),
+        in `pos_roots` order; the set of those ints; the heights."""
+        ints = [int.from_bytes(bytes(r.coeffs), "big") for r in self.pos_roots]
         return ints, frozenset(ints), [r.height for r in self.pos_roots]
 
     def summands(self, delta: Sequence[int]) -> list[RootVec]:
         """The positive roots beta with delta - beta positive, for a positive
         root delta, in `pos_roots` order, scanned up to ht(delta).  Packed
-        subtraction is exact: every root coefficient is at most 6 (E8), so
-        delta - beta has base-16 digits in (-8, 8) and packs to a positive
-        root's int only when it is that root."""
+        subtraction is exact: delta - beta has base-256 digits in [-6, 6], so
+        it packs to a positive root's int only when it is that root."""
         ints, pset, heights = self.packed
-        d = sum(map(operator.lshift, delta, range(0, 4 * len(delta), 4)))
+        d = int.from_bytes(bytes(delta), "big")
         top = bisect.bisect_left(heights, sum(delta))
         keep = map(pset.__contains__, map(d.__sub__, itertools.islice(ints, top)))
         return list(itertools.compress(self.pos_roots, keep))
@@ -144,30 +144,35 @@ def _diagram(family: str, n: int) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 def _positive_roots_closure(C: Sequence[Sequence[int]]) -> list[RootVec]:
-    """Positive roots, one height at a time, as plain tuples.
+    """Positive roots, one height at a time, each packed into one int.
 
     Each root beta of the current height carries its pairings <beta, a_i^vee>
-    and its string depths p_i (the largest k with beta - k a_i a root).  The
-    a_i-string through beta is unbroken and has p_i - q_i = <beta, a_i^vee>,
-    so beta + a_i is a root iff p_i > <beta, a_i^vee>; the new root's pairings
-    add column i of C and its p_i is beta's plus one.  Every root one height
-    down that reaches it sets one depth, and the rest stay 0.
+    and its string depths p_i (the largest k with beta - k a_i a root), packed
+    like the roots, the pairings plus 64.  The a_i-string through beta is
+    unbroken and has p_i - q_i = <beta, a_i^vee>, so beta + a_i is a root iff
+    p_i > <beta, a_i^vee>, iff byte i of depths + 127 - pairings, which is
+    p_i - <beta, a_i^vee> + 63, has bit 6 set.  Then beta + a_i adds unit[i],
+    its pairings add column i of C and its p_i is beta's plus one.  Every root
+    one height down that reaches it sets one depth, and the rest stay 0.  No
+    byte borrows: coefficients are at most 6, depths at most 3 and pairings
+    lie in [-3, 3] (Humphreys 9.4), so every byte formed stays in 0..127.
     """
     n = len(C)
-    cols = [tuple(row[i] for row in C) for i in range(n)]
-    level = {tuple(int(i == j) for j in range(n)): (cols[i], [0] * n) for i in range(n)}
-    roots: list[tuple[int, ...]] = []
+    unit = [1 << 8 * (n - 1 - i) for i in range(n)]
+    bias, top = 64 * sum(unit), 127 * sum(unit)
+    steps = [int.from_bytes(bytes(map((64).__add__, col)), "big") - bias for col in zip(*C)]
+    level = {u: [s + bias, 0] for u, s in zip(unit, steps)}
+    roots: list[int] = []
     while level:
         roots.extend(sorted(level))
-        up: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
+        up: dict[int, list[int]] = {}
         for beta, (pair, depth) in level.items():
-            for i in itertools.compress(range(n), map(operator.gt, depth, pair)):
-                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                if gamma not in up:
-                    up[gamma] = (tuple(map(operator.add, pair, cols[i])), [0] * n)
-                up[gamma][1][i] = depth[i] + 1
+            grow = ((depth + top - pair) & bias).to_bytes(n, "big")
+            for i in itertools.compress(range(n), grow):
+                u = unit[i]
+                up.setdefault(beta + u, [pair + steps[i], 0])[1] += (depth & 255 * u) + u
         level = up
-    return [RootVec(r) for r in roots]
+    return [RootVec(tuple(x.to_bytes(n, "big"))) for x in roots]
 
 
 @functools.lru_cache(maxsize=None)

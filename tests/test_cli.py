@@ -556,6 +556,50 @@ def test_renderer_matches_json_dumps_on_random_documents():
     check()
 
 
+def test_renderer_matches_json_dumps_on_small_int_matrices():
+    """Int matrices whose entries mostly lie in or just outside the small-int
+    table's range -9..9, with a few large ints and bools mixed in."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    table = st.integers(min_value=-9, max_value=9)
+    entries = st.one_of(table, table, table, st.integers(min_value=-12, max_value=12),
+                        st.integers(min_value=-2**70, max_value=2**70), st.booleans())
+    rows = st.one_of(st.lists(entries, min_size=1, max_size=6),
+                     st.lists(entries, min_size=1, max_size=6).map(tuple))
+    matrices = st.one_of(st.lists(rows, min_size=1, max_size=5),
+                         st.lists(rows, min_size=1, max_size=5).map(tuple))
+    docs = st.dictionaries(st.sampled_from(["cartan", "pos_roots", "m"]),
+                           st.one_of(matrices, st.lists(matrices, max_size=2)), max_size=3)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @hypothesis.given(doc=docs)
+    def check(doc):
+        assert emit_output(doc, "json") == _dumps(doc)
+
+    check()
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": [[9, -9, 0], [8, -8, 1]]},
+    {"m": [[9, -9, 0], [10, -10, 1], [-1, 99, -100]]},
+    {"m": [[1, -2, 3], [4, 2**70, -5]], "n": [[-(2**70)], [7]]},
+    {"m": [[1, 0], [0, True]], "n": [[False, 1]]},
+    {"m": [(1, -2), (0, 10)], "n": ((3, -9), [4, 5])},
+], ids=["pm9", "pm10", "big-int-row", "bool-row", "tuple-rows"])
+def test_renderer_small_int_rows_and_fallback(doc):
+    assert emit_output(doc, "json") == _dumps(doc)
+
+
+def test_roots_text_lists_one_root_per_line(monkeypatch, capsys):
+    doc = {"mode": "roots", "group": [{"family": "E", "rank": 8}, {"family": "A", "rank": 16}]}
+    code, out = _run_in_process(["roots", "--format", "text"], monkeypatch, capsys,
+                                stdin=json.dumps(doc))
+    rs = build_root_system(CartanType((("E", 8), ("A", 16))))
+    assert code == 0
+    assert out.splitlines() == [f"positive roots ({len(rs.pos_roots)}):"] + [
+        "  " + " ".join(str(x) for x in r.coeffs) for r in rs.pos_roots]
+
+
 @pytest.mark.parametrize("doc", [{"x": 0.5}, [1, 0.5], [[1, 2.0]], {"x": {1, 2}}],
                          ids=["float", "float-in-int-list", "float-in-matrix", "set"])
 def test_renderer_rejects_non_json_types(doc):

@@ -2,6 +2,7 @@
 the root-to-weight basis change.  The independent oracle for root generation
 is closure under simple reflections, which never looks at root strings."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -68,11 +69,16 @@ EACH_TYPE_ARGS = [(t,) for t in ALL_TYPES] + PRODUCT_TYPES
 EACH_TYPE_IDS = [f"{f}-{n}" for f, n in ALL_TYPES] + [
     "x".join(f"{f}{n}" for f, n in t) for t in PRODUCT_TYPES]
 EACH_TYPE = pytest.mark.parametrize("factors", EACH_TYPE_ARGS, ids=EACH_TYPE_IDS)
-# Ranks at which a root packed four bits per coefficient passes 64 bits.
-WIDE_TYPES = [(("A", 30),), (("D", 22),), (("E", 8), ("A", 16))]
+# The sizes of the `roots` benchmark's large types, ranks 18 to 30, at which a
+# root packed one byte per coefficient, and its pairings, reach up to 240 bits.
+WIDE_TYPES = [(("A", 30),), (("A", 28), ("G", 2)), (("B", 20),), (("C", 18),),
+              (("D", 22),), (("E", 8), ("A", 16)), (("G", 2), ("B", 18))]
+WIDE_IDS = ["x".join(f"{f}{n}" for f, n in t) for t in WIDE_TYPES]
+EACH_OR_WIDE = pytest.mark.parametrize(
+    "factors", EACH_TYPE_ARGS + WIDE_TYPES, ids=EACH_TYPE_IDS + WIDE_IDS)
 
 
-@EACH_TYPE
+@EACH_OR_WIDE
 def test_positive_roots_match_reflection_oracle(factors):
     """Same roots as the reflection orbit, in (height, coordinates) order."""
     rs = build_root_system(CartanType(factors))
@@ -188,17 +194,29 @@ def test_root_to_weight_examples():
     assert root_to_weight(b3, RootVec((1, 0, -1))).coeffs == (2, 0, -2)
 
 
-@pytest.mark.parametrize("family,n", ALL_TYPES)
-def test_root_coefficients_fit_packing(family, n):
-    """No positive-root coefficient exceeds 6 (E8's highest root), which is
-    what makes `summands`' base-16 subtraction exact."""
-    rs = build_root_system(CartanType(((family, n),)))
+@EACH_OR_WIDE
+def test_root_coefficients_fit_packing(factors):
+    """No positive-root coefficient exceeds 6 (E8's highest root).  A root
+    packs one coefficient per byte, so the difference of two packed roots
+    has base-256 digits in [-6, 6]: it is a packed root only when it is that
+    root, which makes `summands`' subtraction exact."""
+    rs = build_root_system(CartanType(factors))
     assert max(max(r.coeffs) for r in rs.pos_roots) <= 6
 
 
-@pytest.mark.parametrize(
-    "factors", EACH_TYPE_ARGS + WIDE_TYPES,
-    ids=EACH_TYPE_IDS + ["x".join(f"{f}{n}" for f, n in t) for t in WIDE_TYPES])
+@EACH_OR_WIDE
+def test_root_pairings_fit_packing(factors):
+    """Every pairing <beta, a_i^vee> of a positive root lies in [-3, 3]
+    (Humphreys 9.4).  The closure stores each pairing plus 64 in one byte;
+    this bound, with depths at most 3, keeps every byte it forms in 0..127,
+    so no byte borrows from its neighbour."""
+    rs = build_root_system(CartanType(factors))
+    pairings = {sum(map(operator.mul, row, r.coeffs))
+                for r in rs.pos_roots for row in rs.cartan}
+    assert min(pairings) >= -3 and max(pairings) <= 3
+
+
+@EACH_OR_WIDE
 def test_summands_match_brute_force(factors):
     """`summands` lists, in root order, exactly the positive roots beta whose
     difference delta - beta is a positive root, as a scan of all pairs finds."""
