@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import EwmError, MathError, SchemaError
 from .intlin import CharSpace, CharVec, IntMatrix
-from .rootsys import CartanType, RootVec, WeightVec, build_root_system, is_dominant, wsupp
+from .rootsys import CartanType, RootVec, WeightVec, build_root_system
 from .solvable import SolvableDatum, solvable_monoid
 
 __all__ = ["main", "run", "parse_input", "emit_output"]
@@ -186,16 +186,10 @@ def parse_general(doc: dict) -> GeneralDatum:
     omega_bar = sorted(
         (_index_key(k, rank, f"/omega_bar/{k}"), _parse_char(v, space_K, f"/omega_bar/{k}"))
         for k, v in raw_ob.items())
-    for i in sorted(set(range(rank)) - pi_L):  # the first family needs each one
-        _need(raw_ob, str(i + 1), "/omega_bar")
     xi2 = []
     for k, entry in enumerate(_list_field(doc, "xi2_prime")):
         lam = _parse_weight(_need(entry, "lambda_L", f"/xi2_prime/{k}"), rank,
                             f"/xi2_prime/{k}/lambda_L")
-        if not is_dominant(lam):
-            raise SchemaError("lambda_L must be dominant", f"/xi2_prime/{k}/lambda_L")
-        if wsupp(lam) - pi_L:
-            raise SchemaError("lambda_L support must lie in pi_L", f"/xi2_prime/{k}/lambda_L")
         chi = _parse_char(_need(entry, "chi", f"/xi2_prime/{k}"), space_K,
                           f"/xi2_prime/{k}/chi")
         xi2.append((lam, chi))

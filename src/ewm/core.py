@@ -25,10 +25,9 @@ from .errors import (
     AlphaNotInLambda,
     DataInconsistency,
     Inconsistent,
-    MissingOmegaBar,
     NoExpression,
     NoLift,
-    SupportClash,
+    SchemaError,
     UniquenessViolated,
 )
 from .intlin import (
@@ -89,6 +88,10 @@ class Biweight:
 
 @dataclass(frozen=True)
 class GeneralDatum:
+    """The input of the general pipeline.  Construction checks its rules and
+    raises `SchemaError` at the JSON pointer of the field a document would
+    carry (indices 1-based there)."""
+
     rs: RootSystem
     pi_L: frozenset[int]
     char_space_K: CharSpace
@@ -104,11 +107,34 @@ class GeneralDatum:
     def rank(self) -> int:
         return self.rs.rank
 
-    def omega_bar_at(self, i: int) -> CharVec:
-        for j, v in self.omega_bar:
-            if j == i:
-                return v
-        raise MissingOmegaBar(f"no restriction supplied for fundamental weight {i + 1}")
+    def __post_init__(self):
+        rank, K = self.rank, self.char_space_K
+        for name in ("pi_L", "sigma_simple"):
+            if not getattr(self, name) <= frozenset(range(rank)):
+                raise SchemaError(f"expected a list of indices in 1..{rank}", f"/{name}")
+        for i, chi in self.omega_bar:
+            if chi.space != K:
+                raise SchemaError("character lies outside char_space_K", f"/omega_bar/{i + 1}")
+        omega = dict(self.omega_bar)
+        for i in sorted(set(range(rank)) - self.pi_L):  # the first family needs each one
+            if i not in omega:
+                raise SchemaError(f"missing required field {str(i + 1)!r}", f"/omega_bar/{i + 1}")
+        for k, (lam, chi) in enumerate(self.xi2_prime):
+            at = f"/xi2_prime/{k}"
+            if len(lam.coeffs) != rank:
+                raise SchemaError(f"weight must have {rank} integer entries", f"{at}/lambda_L")
+            if not is_dominant(lam):
+                raise SchemaError("lambda_L must be dominant", f"{at}/lambda_L")
+            if wsupp(lam) - self.pi_L:
+                raise SchemaError("lambda_L support must lie in pi_L", f"{at}/lambda_L")
+            if chi.space != K:
+                raise SchemaError("character lies outside char_space_K", f"{at}/chi")
+        for k, (mu, lift) in enumerate(self.xi3_prime):
+            if mu.space != self.codomain:
+                raise SchemaError("module weight lies outside codomain", f"/xi3_prime/{k}/mu")
+            if lift is not None and len(lift.coeffs) != rank:
+                raise SchemaError(f"weight must have {rank} integer entries",
+                                  f"/xi3_prime/{k}/lift")
 
     # Derivations free of integer linear algebra, kept in the instance __dict__
     # on first read: fields alone decide `==` and `hash`, and a replaced datum
@@ -195,23 +221,16 @@ class MonoidResult:
 
 def compute_xi1(d: GeneralDatum) -> list[Biweight]:
     """First family: (pi_alpha, -restriction) for alpha outside the Levi."""
-    out = []
-    for i in sorted(set(range(d.rank)) - d.pi_L):
-        pi_i = WeightVec(tuple(int(j == i) for j in range(d.rank)))
-        out.append(Biweight(pi_i, -d.omega_bar_at(i), "Xi1"))
-    return out
+    omega = dict(d.omega_bar)
+    return [Biweight(WeightVec(tuple(int(j == i) for j in range(d.rank))), -omega[i], "Xi1")
+            for i in sorted(set(range(d.rank)) - d.pi_L)]
 
 
 def compute_xi2(d: GeneralDatum) -> list[Biweight]:
     """Second family, transported from the Levi quotient: a dominant weight of
     the Levi lifts with the same coefficients at the matching fundamental
     weights of the big group."""
-    out = []
-    for lam_L, chi in d.xi2_prime:
-        if wsupp(lam_L) & (set(range(d.rank)) - d.pi_L):
-            raise SupportClash(f"second-family support meets the Levi complement")
-        out.append(Biweight(lam_L, chi, "Xi2"))
-    return out
+    return [Biweight(lam_L, chi, "Xi2") for lam_L, chi in d.xi2_prime]
 
 
 def kernel_iota(d: GeneralDatum) -> list[tuple[int, ...]]:
@@ -227,15 +246,14 @@ def lambda_lattice(d: GeneralDatum) -> list[tuple[int, ...]]:
 
 
 def rho_vector(d: GeneralDatum, alpha: int) -> tuple[int, ...]:
-    """All functional values (rho_1(alpha), ..., rho_k(alpha)) at once."""
+    """All functional values (rho_1(alpha), ..., rho_k(alpha)) at once.  The
+    mu-solve always has a solution once alpha lies in the weight lattice: that
+    lattice is the preimage under iota of the span of the module weights."""
     lam = lambda_lattice(d)
     w = root_to_weight(d.rs, RootVec(tuple(int(j == alpha) for j in range(d.rank))))
     if not in_sublattice(w.coeffs, lam, [0] * d.rank):
         raise AlphaNotInLambda(f"simple root {alpha + 1} outside the weight lattice")
-    sol = solve_with_moduli(d.mu_matrix, d.moduli, mat_vec(d.iota, w.coeffs))
-    if sol is None:
-        raise NoExpression(f"iota(alpha_{alpha + 1}) has no module-weight expression")
-    particular, hom = sol
+    particular, hom = solve_with_moduli(d.mu_matrix, d.moduli, mat_vec(d.iota, w.coeffs))
     if hom:
         raise NoExpression("module weights do not freely generate their span")
     return particular
@@ -408,14 +426,8 @@ def compute_monoid(d: GeneralDatum) -> MonoidResult:
             "compute_monoid requires a unique third family; use solve_xi3 for "
             "the non-unique report"
         )
-    generators = d.xi12 + tuple(xi3)
-    expected = (d.rank - len(d.pi_L)) + len(d.xi2_prime) + len(d.xi3_prime)
-    if len(generators) != expected:
-        raise Inconsistent(
-            f"{len(generators)} generators, but the rank formula gives {expected}"
-        )
     return MonoidResult(
-        generators=generators,
+        generators=d.xi12 + tuple(xi3),
         lambda_basis=tuple(lambda_lattice(d)),
         sigma_used=tuple(sorted(d.sigma_simple)),
         diagnostics=tuple(diagnostics),

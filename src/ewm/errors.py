@@ -10,8 +10,6 @@ __all__ = [
     "MathError",
     "InvalidType",
     "NegativeRootCoordinate",
-    "MissingOmegaBar",
-    "SupportClash",
     "AlphaNotInLambda",
     "NoExpression",
     "NoLift",
@@ -39,14 +37,6 @@ class InvalidType(EwmError):
 
 class NegativeRootCoordinate(EwmError):
     """supp() called on a vector with mixed-sign coordinates."""
-
-
-class MissingOmegaBar(EwmError):
-    """A restriction of a fundamental weight is required but was not supplied."""
-
-
-class SupportClash(EwmError):
-    """A second-family generator's support meets the complement of the Levi."""
 
 
 class AlphaNotInLambda(MathError):

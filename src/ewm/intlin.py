@@ -105,9 +105,6 @@ class CharSpace:
         tail = tuple(int(c) % m for c, m in zip(coords[self.free_rank:], self.moduli))
         return head + tail
 
-    def zero(self) -> "CharVec":
-        return CharVec(self, (0,) * self.dim)
-
 
 @dataclass(frozen=True)
 class CharVec:
@@ -124,16 +121,8 @@ class CharVec:
             raise SchemaError("characters of different spaces do not combine")
         return CharVec(self.space, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "CharVec") -> "CharVec":
-        if self.space != other.space:
-            raise SchemaError("characters of different spaces do not combine")
-        return CharVec(self.space, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __neg__(self) -> "CharVec":
         return CharVec(self.space, tuple(-a for a in self.coords))
-
-    def scale(self, k: int) -> "CharVec":
-        return CharVec(self.space, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)

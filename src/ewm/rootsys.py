@@ -88,12 +88,6 @@ class WeightVec:
 
     coeffs: tuple[int, ...]
 
-    def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, k: int) -> "WeightVec":
-        return WeightVec(tuple(k * a for a in self.coeffs))
-
 
 @dataclass(frozen=True)
 class RootSystem:

@@ -267,9 +267,9 @@ def test_criterion_7_lift_independence(capsys, sl6, so7):
                     sum(c * k[i] for c, k in zip(coeffs, kernel))
                     for i in range(d.rank)
                 ]
-                chi_shift = d.char_space_K.zero()
-                for c, (_, dchi) in zip(coeffs, shifts):
-                    chi_shift = chi_shift + dchi.scale(c)
+                chi_shift = CharVec(d.char_space_K, tuple(
+                    sum(c * dchi.coords[j] for c, (_, dchi) in zip(coeffs, shifts))
+                    for j in range(d.char_space_K.dim)))
                 new_xi3 = tuple(
                     (mu, WeightVec(tuple(a + b for a, b in zip(lift.coeffs, total))))
                     for mu, lift in d.xi3_prime

@@ -30,8 +30,6 @@ from ewm.core import (
 )
 from ewm.errors import (
     DataInconsistency,
-    MissingOmegaBar,
-    SupportClash,
     NoLift,
     SchemaError,
     UniquenessViolated,
@@ -185,18 +183,51 @@ class TestSL3Parabolic:
             solve_xi3(d)
 
 
-class TestValidation:
-    def test_missing_omega_bar(self, sl6):
-        d = dataclasses.replace(sl6, omega_bar=())
-        with pytest.raises(MissingOmegaBar):
-            compute_xi1(d)
+def _other_char(coords):
+    """A character of a free space, unlike every space of the fixtures it
+    is put into."""
+    return CharVec(CharSpace(len(coords)), coords)
 
-    def test_support_clash(self, sl6):
-        d = dataclasses.replace(sl6, xi2_prime=(
-                    (WeightVec((0, 0, 1, 0, 0)), CharVec(sl6.char_space_K, (0,))),
-                ))
-        with pytest.raises(SupportClash):
-            compute_xi2(d)
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "base,fields,pointer,message",
+        [
+            ("so7", lambda d: dict(omega_bar=()), "/omega_bar/1", "missing required field '1'"),
+            ("so7", lambda d: dict(omega_bar=d.omega_bar[:1]), "/omega_bar/3",
+             "missing required field '3'"),
+            ("so7", lambda d: dict(omega_bar=((0, _other_char((1, 0, 0))), d.omega_bar[1])),
+             "/omega_bar/1", "outside char_space_K"),
+            ("so7", lambda d: dict(pi_L=frozenset({1, 7})), "/pi_L", "indices in 1..3"),
+            ("so7", lambda d: dict(sigma_simple=frozenset({2, 9})), "/sigma_simple",
+             "indices in 1..3"),
+            ("so7", lambda d: dict(xi3_prime=((_other_char((1, 0)), None),)),
+             "/xi3_prime/0/mu", "outside codomain"),
+            ("so7", lambda d: dict(xi3_prime=(d.xi3_prime[0], (d.xi3_prime[1][0], WeightVec((1, 0))))),
+             "/xi3_prime/1/lift", "3 integer entries"),
+            ("sl6", lambda d: dict(xi2_prime=((WeightVec((1, -1, 0, 1, 0)), d.xi2_prime[0][1]),)),
+             "/xi2_prime/0/lambda_L", "lambda_L must be dominant"),
+            ("sl6", lambda d: dict(xi2_prime=(d.xi2_prime[0], (WeightVec((0, 0, 1, 0, 0)),
+                                                               d.xi2_prime[0][1]))),
+             "/xi2_prime/1/lambda_L", "lambda_L support must lie in pi_L"),
+            ("sl6", lambda d: dict(xi2_prime=((WeightVec((1, 0, 0, 1)), d.xi2_prime[0][1]),)),
+             "/xi2_prime/0/lambda_L", "5 integer entries"),
+            ("sl6", lambda d: dict(xi2_prime=((d.xi2_prime[0][0], _other_char((1, 0))),)),
+             "/xi2_prime/0/chi", "outside char_space_K"),
+        ],
+        ids=["omega-bar-empty", "omega-bar-missing", "omega-bar-space", "pi-L-range",
+             "sigma-range", "mu-space", "lift-length", "lambda-L-nondominant",
+             "lambda-L-outside-levi", "lambda-L-length", "xi2-chi-space"],
+    )
+    def test_malformed_datum_rejected_at_construction(self, base, fields, pointer, message,
+                                                      request):
+        """A datum built in Python is held to the rules a document is: each
+        of these ran to an answer, or failed late without a pointer, when
+        only the parser checked them."""
+        d = request.getfixturevalue(base)
+        with pytest.raises(SchemaError, match=message) as e:
+            compute_monoid(dataclasses.replace(d, **fields(d)))
+        assert e.value.pointer == pointer
 
     def test_no_lift(self):
         # index-2 image: an odd target has no preimage
@@ -241,6 +272,26 @@ class TestValidation:
         )
         with pytest.raises(DataInconsistency):
             compute_monoid(d)
+
+
+def _parsed(name, parse):
+    return parse(json.loads((DATA / f"{name}.json").read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("name", ["sl6", "so7", "sl3_parabolic"])
+def test_general_fixtures_match_data_files(name, request):
+    assert request.getfixturevalue(name) == _parsed(name, parse_general)
+
+
+@pytest.mark.parametrize("name", ["sl3_solvable", "n0"])
+def test_solvable_fixtures_match_data_files(name, request):
+    """The parser names the default codomain's coordinates ϖ1, ...; the
+    fixture leaves them unnamed, so the codomain is compared without names."""
+    fixture, parsed = request.getfixturevalue(name), _parsed(name, parse_solvable)
+    assert (fixture.rs, fixture.active_roots, fixture.iota) == \
+        (parsed.rs, parsed.active_roots, parsed.iota)
+    assert (fixture.codomain.free_rank, fixture.codomain.moduli) == \
+        (parsed.codomain.free_rank, parsed.codomain.moduli)
 
 
 class TestParabolicInduction:

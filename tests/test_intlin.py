@@ -411,8 +411,7 @@ def test_char_space_reduction():
     assert v.coords == (3, -1, 1)
     assert (v + v).coords == (6, -2, 0)
     assert (-v).coords == (-3, 1, 1)
-    assert v.scale(2).coords == (6, -2, 0)
-    assert sp.zero().is_zero()
+    assert not v.is_zero() and CharVec(sp, (0, 0, 2)).is_zero()
 
 
 def _sl3_solvable(*active):
@@ -429,8 +428,6 @@ def _sl3_solvable(*active):
         (lambda: CharVec(CharSpace(2), (1,)), SchemaError),
         (lambda: CharVec(CharSpace(2), (1, 1)) + CharVec(CharSpace(1, (2,)), (1, 1)),
          SchemaError),
-        (lambda: CharVec(CharSpace(2), (1, 1)) - CharVec(CharSpace(1, (2,)), (1, 1)),
-         SchemaError),
         (lambda: solve_with_moduli(IntMatrix.from_rows([[1, 2]]), [0, 0], [1]),
          SchemaError),
         (lambda: solve_with_moduli(IntMatrix.from_rows([[1, 2]]), [0], [1, 2]),
@@ -440,8 +437,8 @@ def _sl3_solvable(*active):
         (lambda: _sl3_solvable((1, 0), (1, -1)), SchemaError),
         (lambda: f_set(_sl3_solvable((1, 0), (1, 1)), RootVec((0, 1))), PiMapError),
     ],
-    ids=["modulus-1", "charvec-length", "add-across-spaces", "sub-across-spaces",
-         "moduli-length", "rhs-length", "rows-without-cols", "cols-without-rows",
+    ids=["modulus-1", "charvec-length", "add-across-spaces", "moduli-length",
+         "rhs-length", "rows-without-cols", "cols-without-rows",
          "active-not-positive", "f-set-inactive"],
 )
 def test_invariants_raise_typed_errors(call, error):

@@ -2,7 +2,8 @@
 imports nothing outside the standard library, it states no invariant as an
 `assert`, which `python -O` would strip, it never asks `json` for indented
 output, which CPython writes with its pure-Python encoder, each module
-binds every name its `__all__` exports, and every function the benchmark's
+binds every name its `__all__` exports, every error class it exports is
+raised or caught by name somewhere, and every function the benchmark's
 stage trace wraps by name, or imports from `ewm`, still exists."""
 
 import ast
@@ -103,3 +104,29 @@ def test_benchmark_imports_are_bound(path):
             missing += [(node.module, a.name) for a in node.names
                         if not module.exists() or a.name not in _bound_names(_tree(module))]
     assert missing == []
+
+
+def _names_in(node):
+    """The bare names of an exception expression: `E`, `E(...)` or `(E, F)`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names_in(elt)}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_every_error_class_is_raised_or_caught():
+    """An error class whose last `raise` and `except` are gone is dead API:
+    it fails here instead of lingering in `errors.__all__`."""
+    tree = _tree(ROOT / "src" / "ewm" / "errors.py")
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    used = set()
+    for path in SRC:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= _names_in(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= _names_in(node.type)
+    assert [name for name in exported if name not in used] == []
