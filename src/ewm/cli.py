@@ -21,6 +21,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .core import (
+    IOTA_SHAPE,
     Biweight,
     GeneralDatum,
     MonoidResult,
@@ -167,9 +168,7 @@ def _parse_iota(raw: Any, rank: int, dim: int, pointer: str) -> IntMatrix:
         or not all(isinstance(r, list) and len(r) == rank for r in raw)
         or not all(_is_int(x) for r in raw for x in r)
     ):
-        raise SchemaError(
-            f"iota must be a {dim}x{rank} integer matrix (rows over the "
-            "fundamental-weight columns)", pointer)
+        raise SchemaError(IOTA_SHAPE.format(dim, rank), pointer)
     return IntMatrix.from_rows(raw, rank)
 
 

@@ -86,6 +86,9 @@ class Biweight:
             )
 
 
+IOTA_SHAPE = "iota must be a {}x{} integer matrix (rows over the fundamental-weight columns)"
+
+
 @dataclass(frozen=True)
 class GeneralDatum:
     """The input of the general pipeline.  Construction checks its rules and
@@ -112,6 +115,8 @@ class GeneralDatum:
         for name in ("pi_L", "sigma_simple"):
             if not getattr(self, name) <= frozenset(range(rank)):
                 raise SchemaError(f"expected a list of indices in 1..{rank}", f"/{name}")
+        if (self.iota.rows, self.iota.cols) != (self.codomain.dim, rank):
+            raise SchemaError(IOTA_SHAPE.format(self.codomain.dim, rank), "/iota")
         for i, chi in self.omega_bar:
             if chi.space != K:
                 raise SchemaError("character lies outside char_space_K", f"/omega_bar/{i + 1}")

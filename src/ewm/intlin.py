@@ -12,9 +12,10 @@ other: the kernel of a 0 x n matrix is all of Z^n.
 
 Each distinct matrix is factored once per process: `smith_normal_form` is a
 bounded LRU memo of 16 keyed by the frozen `IntMatrix`, returning one shared
-`Smith` record per matrix.  The record unpacks as (U, D, V) and answers each
-kernel and solve on that matrix: it keeps its diagonal, the columns of V and
-one Hermite basis of its kernel per projection width, each derived once.
+`Smith` record per matrix.  The record holds U, the diagonal of D and the
+columns of V, which every kernel and solve on that matrix reads, and one
+Hermite basis of its kernel per projection width, derived once; it builds
+the matrices D and V only when it is unpacked as (U, D, V).
 """
 
 from __future__ import annotations
@@ -140,53 +141,47 @@ def mat_vec(A: IntMatrix, x: Sequence[int]) -> Vec:
 
 @dataclass(frozen=True, eq=False)
 class Smith:
-    """The factorization D = U*A*V of one matrix, which answers the kernel
-    and solve queries on it; unpacks as (U, D, V)."""
+    """The factorization D = U*A*V of one matrix, kept as what its kernel and
+    solve queries read: U, the diagonal of D (0 past its last column, one
+    entry per row) and the columns of V.  Unpacking builds (U, D, V)."""
 
     U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    diag: tuple[int, ...]
+    cols: tuple[Vec, ...]
     _kernels: dict[int, tuple[Vec, ...]] = field(default_factory=dict, repr=False)
 
     def __iter__(self):
-        return iter((self.U, self.D, self.V))
-
-    @functools.cached_property
-    def _solver(self) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
-        """(d_1 ... d_m, with 0 past the last column; the columns of V)."""
-        n = self.V.rows
-        diag = tuple(self.D.entries[i][i] if i < n else 0 for i in range(self.D.rows))
-        return diag, tuple(self.V.column(j) for j in range(n))
+        n = len(self.cols)
+        D = [[d * (i == j) for j in range(n)] for i, d in enumerate(self.diag)]
+        return iter((self.U, IntMatrix.from_rows(D, n), IntMatrix.from_cols(self.cols, n)))
 
     def kernel(self, ncols: int) -> tuple[Vec, ...]:
         """HNF basis of the kernel projected onto the first `ncols` coordinates,
         derived on the first call per width: two (A, moduli) pairs can augment
         to the same matrix and differ only in their width."""
         if ncols not in self._kernels:
-            diag, cols = self._solver
-            rank = sum(1 for x in diag if x != 0)
-            self._kernels[ncols] = tuple(hnf_rows([v[:ncols] for v in cols[rank:]], ncols))
+            rank = sum(1 for x in self.diag if x != 0)
+            self._kernels[ncols] = tuple(hnf_rows([v[:ncols] for v in self.cols[rank:]], ncols))
         return self._kernels[ncols]
 
     def solve(self, b: Sequence[int], ncols: int) -> Optional[Vec]:
         """V*y cut to its first `ncols` entries, where D*y = U*b, adding only
         the columns of V with y_i != 0; None when a d_i does not divide (U*b)_i."""
-        diag, cols = self._solver
         x = [0] * ncols
-        for i, (c, d) in enumerate(zip(mat_vec(self.U, b), diag)):
+        for i, (c, d) in enumerate(zip(mat_vec(self.U, b), self.diag)):
             if c:
                 if d == 0 or c % d != 0:
                     return None
                 q = c // d
-                x = [a + q * v for a, v in zip(x, cols[i])]
+                x = [a + q * v for a, v in zip(x, self.cols[i])]
         return tuple(x)
 
 
 @functools.lru_cache(maxsize=SNF_MEMO_SIZE)
 def smith_normal_form(A: IntMatrix) -> Smith:
-    """Return (U, D, V), as a `Smith` record, with D = U*A*V, U and V
-    unimodular, D diagonal with non-negative entries satisfying d1 | d2 | ...;
-    for an m x n matrix A they are m x m, m x n and n x n.
+    """The `Smith` record of A, which unpacks as (U, D, V) with D = U*A*V, U
+    and V unimodular, D diagonal with non-negative entries satisfying d1 | d2
+    | ...; for an m x n matrix A they are m x m, m x n and n x n.
 
     Alternating Hermite passes (H. Cohen, *A Course in Computational
     Algebraic Number Theory*, GTM 138, §2.4; R. Kannan and A. Bachem, SIAM
@@ -225,11 +220,8 @@ def smith_normal_form(A: IntMatrix) -> Smith:
         i, j = ij
         MU[j][i] = d[j]  # column i += column j
         VT[i] = [a + b for a, b in zip(VT[i], VT[j])]
-    return Smith(
-        IntMatrix.from_rows([r[n:] for r in MU], m),
-        IntMatrix.from_rows([r[:n] for r in MU], n),
-        IntMatrix.from_cols(VT, n),
-    )
+    return Smith(IntMatrix.from_rows([r[n:] for r in MU], m),
+                 tuple(MU[i][i] if i < n else 0 for i in range(m)), tuple(map(tuple, VT)))
 
 
 def _augment_with_moduli(A: IntMatrix, moduli: Sequence[int]) -> IntMatrix:

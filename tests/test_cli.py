@@ -681,6 +681,17 @@ def test_bad_active_root_exits_2_with_pointer(roots, message, monkeypatch, capsy
     assert capsys.readouterr().err == f"schema error at /active_roots/1: {message}\n"
 
 
+def test_bijection_failure_exits_3(monkeypatch, capsys):
+    """B2 with alpha1 + 2 alpha2 active passes the pi map but not F-set
+    bijectivity: a mathematical inconsistency, not a schema error."""
+    doc = {"mode": "solvable", "group": [{"family": "B", "rank": 2}], "active_roots": [[1, 2]]}
+    monkeypatch.setattr(sys, "stdin", StringIO(json.dumps(doc)))
+    assert run(["solvable"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "inconsistent input: F-set bijectivity fails for [(1, 2)]\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "field,indices,pointer,message",
     [

@@ -182,6 +182,12 @@ class TestSL3Parabolic:
         with pytest.raises(UniquenessViolated):
             solve_xi3(d)
 
+    def test_compute_monoid_requires_a_unique_family(self, sl3_parabolic):
+        """The datum declares its third family non-unique: `compute_monoid`
+        refuses it and points to `solve_xi3`."""
+        with pytest.raises(UniquenessViolated, match="compute_monoid requires a unique third"):
+            compute_monoid(sl3_parabolic)
+
 
 def _other_char(coords):
     """A character of a free space, unlike every space of the fixtures it
@@ -214,10 +220,17 @@ class TestValidation:
              "/xi2_prime/0/lambda_L", "5 integer entries"),
             ("sl6", lambda d: dict(xi2_prime=((d.xi2_prime[0][0], _other_char((1, 0))),)),
              "/xi2_prime/0/chi", "outside char_space_K"),
+            ("so7", lambda d: dict(iota=IntMatrix.from_rows([r[:2] for r in d.iota.entries])),
+             "/iota", "iota must be a 3x3 integer matrix"),
+            ("so7", lambda d: dict(iota=IntMatrix.from_rows([r + (0,) for r in d.iota.entries])),
+             "/iota", "iota must be a 3x3 integer matrix"),
+            ("so7", lambda d: dict(iota=IntMatrix.from_rows(d.iota.entries[:2])),
+             "/iota", "iota must be a 3x3 integer matrix"),
         ],
         ids=["omega-bar-empty", "omega-bar-missing", "omega-bar-space", "pi-L-range",
              "sigma-range", "mu-space", "lift-length", "lambda-L-nondominant",
-             "lambda-L-outside-levi", "lambda-L-length", "xi2-chi-space"],
+             "lambda-L-outside-levi", "lambda-L-length", "xi2-chi-space",
+             "iota-3x2", "iota-3x4", "iota-2x3"],
     )
     def test_malformed_datum_rejected_at_construction(self, base, fields, pointer, message,
                                                       request):

@@ -9,7 +9,7 @@ import pytest
 
 import ewm.solvable
 from ewm.core import compute_monoid
-from ewm.errors import PiMapError, SchemaError
+from ewm.errors import BijectionFailure, PiMapError, SchemaError
 from ewm.intlin import CharSpace, IntMatrix
 from ewm.rootsys import CartanType, RootVec, build_root_system
 from ewm.solvable import (
@@ -123,6 +123,19 @@ class TestFSet:
     def test_validation_passes(self, sl3_solvable, n0):
         assert validate_pi(sl3_solvable) == []
         assert validate_pi(n0) == []
+
+    def test_bijection_failure_raised(self):
+        """On B2, alpha1 + 2 alpha2 alone has a distinguished root, but its
+        F-set is itself and cannot cover both simple roots of its support."""
+        d = SolvableDatum(
+            rs=build_root_system(CartanType((("B", 2),))),
+            active_roots=(RootVec((1, 2)),),
+            codomain=CharSpace(2),
+            iota=IntMatrix.from_rows([[1, 0], [0, 1]]),
+        )
+        assert validate_pi(d) == [RootVec((1, 2))]
+        with pytest.raises(BijectionFailure, match=re.escape("fails for [(1, 2)]")):
+            solvable_monoid(d)
 
 
 class TestSigma:
